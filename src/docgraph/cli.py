@@ -8,10 +8,9 @@ index artifacts and run files. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,10 +38,9 @@ from .ranker import (
 )
 from .storage import LoadedIndex, load_index, save_index
 from .vocabulary import CONCEPT_TYPES, Vocabulary, load_vocabulary
-from .corpus import ingest_documents
+from .corpus import ingest_documents, paused_gc
 
 RANKERS = ("graphrank", "bm25-rerank", "bm25-native", "none")
-PARALLELISM_ENV = "DOCGRAPH_PARALLELISM"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,8 +229,7 @@ def _format_fragment(fragment) -> str:
     return "; ".join(f"({s}) -[{p}]-> ({o})" for s, p, o in fragment.edges)
 
 
-def cmd_search(args) -> int:
-    ctx = _load_context(args)
+def cmd_search(args, ctx: _Context) -> int:
     query = _parse_search_query(args, ctx)
     if args.expand_ontology:
         query = expand_query_upwards(query, ctx.ontology)
@@ -262,8 +259,7 @@ def cmd_search(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    ctx = _load_context(args)
+def cmd_evaluate(args, ctx: _Context) -> int:
     topics = parse_topics_file(args.topics)
     qrels = load_qrels(args.qrels)
     out_dir = Path(args.out)
@@ -308,12 +304,7 @@ def cmd_evaluate(args) -> int:
             ]
         return topic.topic_id, translation, rankings, None
 
-    degree = max(1, int(os.environ.get(PARALLELISM_ENV, "1")))
-    if degree > 1:
-        with ThreadPoolExecutor(max_workers=degree) as pool:
-            outcomes = list(pool.map(process, topics))
-    else:
-        outcomes = [process(topic) for topic in topics]
+    outcomes = [process(topic) for topic in topics]
 
     excluded = [
         (topic_id, reason) for topic_id, _, _, reason in outcomes if reason is not None
@@ -443,14 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    froze = False
     try:
-        return args.func(args)
+        if args.func is cmd_index:
+            return cmd_index(args)
+        with paused_gc():
+            ctx = _load_context(args)
+            # The context lives until the command returns; freezing it keeps later
+            # collections from walking the corpus. A host's frozen heap is left alone.
+            froze = not gc.get_freeze_count()
+            if froze:
+                gc.freeze()
+        return args.func(args, ctx)
     except InconsistencyError as exc:
         print(f"docgraph: internal inconsistency: {exc}", file=sys.stderr)
         return 2
     except DocGraphError as exc:
         print(f"docgraph: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if froze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":  # pragma: no cover

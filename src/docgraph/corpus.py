@@ -9,11 +9,13 @@ package. After construction a :class:`Corpus` and everything hanging off it
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
 
 from .errors import AbsentConceptError, CorpusFormatError
 
@@ -124,9 +126,6 @@ class Document:
                     raise CorpusFormatError(
                         f"statement references unmentioned concept {concept!r}"
                     )
-
-    def mentions_concept(self, concept_id: str) -> bool:
-        return concept_id in self.concept_counts
 
     def mention_span(self, concept_id: str) -> tuple[int, int]:
         """(first, last) mention start offsets of a concept."""
@@ -274,8 +273,13 @@ def _require(record: Mapping, field: str, kind, where: str):
 
 
 def parse_document_record(record: Mapping, where: str = "<record>") -> Document:
-    """Build a validated Document from one decoded corpus record."""
-    if not isinstance(record, Mapping):
+    """Build a validated Document from one decoded corpus record.
+
+    Decoded JSON holds plain dicts of exact types, so each mention and
+    statement is first checked with ``type(x) is T``. An entry that fails
+    that check goes through the general ``_require``/``Mapping`` checks.
+    """
+    if type(record) is not dict and not isinstance(record, Mapping):
         raise CorpusFormatError(f"{where}: record must be a JSON object")
     doc_id = _require(record, "doc_id", str, where)
     text_length = _require(record, "text_length", int, where)
@@ -284,7 +288,12 @@ def parse_document_record(record: Mapping, where: str = "<record>") -> Document:
         raise CorpusFormatError(f"{where}: tokens must all be strings")
     mentions = []
     for m in _require(record, "mentions", list, where):
-        if not isinstance(m, Mapping):
+        if type(m) is dict:
+            concept_id, start, end = m.get("concept_id"), m.get("start"), m.get("end")
+            if type(concept_id) is str and type(start) is type(end) is int:
+                mentions.append(ConceptMention(concept_id, start, end))
+                continue
+        elif not isinstance(m, Mapping):
             raise CorpusFormatError(f"{where}: mention entries must be objects")
         mentions.append(
             ConceptMention(
@@ -295,7 +304,17 @@ def parse_document_record(record: Mapping, where: str = "<record>") -> Document:
         )
     statements = []
     for s in _require(record, "statements", list, where):
-        if not isinstance(s, Mapping):
+        if type(s) is dict:
+            subject, predicate, obj = s.get("subject"), s.get("predicate"), s.get("object")
+            confidence, sentence = s.get("confidence"), s.get("sentence")
+            if type(subject) is type(predicate) is type(obj) is str and (
+                type(confidence) is float and type(sentence) is int
+            ):
+                statements.append(
+                    StatementExtraction(subject, predicate, obj, confidence, sentence)
+                )
+                continue
+        elif not isinstance(s, Mapping):
             raise CorpusFormatError(f"{where}: statement entries must be objects")
         statements.append(
             StatementExtraction(
@@ -335,24 +354,46 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-def ingest_documents(source: str | Path) -> Corpus:
-    """Load a line-delimited JSON corpus file into a Corpus.
+@contextmanager
+def paused_gc():
+    """Pause the cyclic GC in the block; restore the caller's state, even on error.
 
-    The first malformed record aborts ingestion with its file and line number.
+    A corpus build allocates hundreds of thousands of containers and frees
+    none, so each automatic collection would re-walk the growing corpus.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def parse_corpus(text: str, path: Path) -> Corpus:
+    """Build a Corpus from the text of a line-delimited JSON corpus file.
+
+    The first malformed record aborts with ``path`` and its line number.
+    """
+    with paused_gc():
+        documents = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+            documents.append(parse_document_record(record, where))
+        return Corpus(documents)
+
+
+def ingest_documents(source: str | Path) -> Corpus:
+    """Load a line-delimited JSON corpus file into a Corpus."""
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
-    documents = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-        documents.append(parse_document_record(record, where))
-    return Corpus(documents)
+    return parse_corpus(text, path)

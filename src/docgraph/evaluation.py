@@ -221,10 +221,6 @@ class MetricReport:
     excluded_topics: tuple[tuple[str, str], ...] = ()
 
     @property
-    def evaluated_topics(self) -> tuple[str, ...]:
-        return tuple(self.per_topic)
-
-    @property
     def warning_count(self) -> int:
         return len(self.skipped_topics) + len(self.excluded_topics)
 

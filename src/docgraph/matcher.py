@@ -194,14 +194,6 @@ class MatchResult:
     partial: dict[str, list[Fragment]]
     truncated_docs: frozenset[str] = field(default_factory=frozenset)
 
-    @property
-    def full_doc_ids(self) -> tuple[str, ...]:
-        return tuple(self.full)
-
-    @property
-    def partial_doc_ids(self) -> tuple[str, ...]:
-        return tuple(self.partial)
-
 
 def _fragment_min_node_score(fragment: Fragment, query: DisjunctiveQuery) -> float:
     return min(

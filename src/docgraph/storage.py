@@ -1,27 +1,29 @@
-"""Persisted index directory: documents, indexes, stats, and a manifest.
+"""Persisted index directory: the validated documents and a manifest.
 
-All files are JSON with sorted keys and compact separators, so re-indexing
-identical inputs reproduces byte-identical artifacts.
+``documents.jsonl`` holds one canonical JSON record per document, and
+``manifest.json`` records the format version, the document count, and the
+byte size and SHA-256 of ``documents.jsonl``. The statement and text indexes
+are not stored: rebuilding them from the corpus at load is cheaper than
+decoding them. Both files are JSON with sorted keys and compact separators,
+so re-indexing identical inputs reproduces byte-identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .bm25 import TextIndex, build_text_index
-from .corpus import Corpus, document_to_record, ingest_documents
+from .corpus import Corpus, document_to_record, paused_gc, parse_corpus
 from .errors import InputError
 from .matcher import StatementIndex, build_statement_index
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 DOCUMENTS_FILE = "documents.jsonl"
-STATS_FILE = "stats.json"
-STATEMENT_INDEX_FILE = "statement_index.json"
-TEXT_INDEX_FILE = "text_index.json"
 
 
 @dataclass(frozen=True)
@@ -31,116 +33,80 @@ class LoadedIndex:
     text_index: TextIndex
 
 
-def _dump(payload, path: Path) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def save_index(out_dir: str | Path, corpus: Corpus) -> Path:
-    """Write the full index directory; returns the manifest path."""
+    """Write the index directory; returns the manifest path."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
 
-    with (directory / DOCUMENTS_FILE).open("w", encoding="utf-8") as handle:
-        for doc_id in corpus.doc_ids:
-            record = document_to_record(corpus.document(doc_id))
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
-
-    _dump(
-        {
-            "doc_count": corpus.stats.doc_count,
-            "concept_df": dict(sorted(corpus.stats.concept_df.items())),
-        },
-        directory / STATS_FILE,
-    )
-
-    statement_index = build_statement_index(corpus)
-    _dump(
-        {
-            "triples": [
-                [list(edge), sorted(docs)]
-                for edge, docs in sorted(statement_index.triple.items())
-            ],
-            "pairs": [
-                [sorted(key), [[doc_id, list(edge)] for doc_id, edge in entries]]
-                for key, entries in sorted(
-                    statement_index.pair.items(), key=lambda item: sorted(item[0])
-                )
-            ],
-            "concepts": {
-                concept: sorted(docs)
-                for concept, docs in sorted(statement_index.concept_docs.items())
-            },
-        },
-        directory / STATEMENT_INDEX_FILE,
-    )
-
-    text_index = build_text_index(corpus)
-    _dump(
-        {
-            "doc_count": text_index.doc_count,
-            "avg_length": text_index.avg_length,
-            "doc_lengths": dict(sorted(text_index.doc_lengths.items())),
-            "postings": {
-                token: dict(sorted(entry.items()))
-                for token, entry in sorted(text_index.postings.items())
-            },
-        },
-        directory / TEXT_INDEX_FILE,
-    )
+    documents = "".join(
+        _json(document_to_record(corpus.document(doc_id))) + "\n"
+        for doc_id in corpus.doc_ids
+    ).encode("utf-8")
+    (directory / DOCUMENTS_FILE).write_bytes(documents)
 
     manifest_path = directory / MANIFEST_FILE
-    _dump(
-        {"format_version": FORMAT_VERSION, "doc_count": corpus.doc_count},
-        manifest_path,
-    )
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "doc_count": corpus.doc_count,
+        "documents_bytes": len(documents),
+        "documents_sha256": hashlib.sha256(documents).hexdigest(),
+    }
+    manifest_path.write_text(_json(manifest) + "\n", encoding="utf-8")
     return manifest_path
 
 
 def load_index(index_dir: str | Path) -> LoadedIndex:
+    """Load an index directory, rebuilding the statement and text indexes.
+
+    ``documents.jsonl`` must have the size and SHA-256 that the manifest
+    records, so a truncated, edited or half-written index is rejected
+    before any record is decoded.
+    """
     directory = Path(index_dir)
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.is_file():
         raise InputError(f"{directory} is not an index directory (no {MANIFEST_FILE})")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read index manifest {manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise InputError(f"index manifest {manifest_path} is not a JSON object")
+    if manifest.get("format_version") != FORMAT_VERSION:
         raise InputError(
-            f"index format version {version!r} is not supported (expected {FORMAT_VERSION})"
+            f"index manifest {manifest_path} has format version "
+            f"{manifest.get('format_version')!r}, expected {FORMAT_VERSION}; "
+            f"re-run 'docgraph index' to rebuild the index"
         )
 
-    corpus = ingest_documents(directory / DOCUMENTS_FILE)
-    if corpus.doc_count != manifest.get("doc_count"):
-        raise InputError(
-            f"manifest doc_count {manifest.get('doc_count')} does not match "
-            f"{corpus.doc_count} stored documents"
+    path = directory / DOCUMENTS_FILE
+    try:
+        data = path.read_bytes()
+        if (
+            len(data) != manifest.get("documents_bytes")
+            or hashlib.sha256(data).hexdigest() != manifest.get("documents_sha256")
+        ):
+            raise InputError(
+                f"index file {path} does not match the size and SHA-256 in "
+                f"{manifest_path}; re-run 'docgraph index' to rebuild the index"
+            )
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read index file {path}: {exc}") from None
+
+    with paused_gc():
+        corpus = parse_corpus(text, path)
+        if corpus.doc_count != manifest.get("doc_count"):
+            raise InputError(
+                f"index manifest {manifest_path} records doc_count "
+                f"{manifest.get('doc_count')!r}, but {path} holds {corpus.doc_count}"
+            )
+        return LoadedIndex(
+            corpus=corpus,
+            statement_index=build_statement_index(corpus),
+            text_index=build_text_index(corpus),
         )
-
-    raw_statements = json.loads(
-        (directory / STATEMENT_INDEX_FILE).read_text(encoding="utf-8")
-    )
-    statement_index = StatementIndex(
-        triple={
-            tuple(edge): frozenset(docs) for edge, docs in raw_statements["triples"]
-        },
-        pair={
-            frozenset(key): tuple((doc_id, tuple(edge)) for doc_id, edge in entries)
-            for key, entries in raw_statements["pairs"]
-        },
-        concept_docs={
-            concept: frozenset(docs)
-            for concept, docs in raw_statements["concepts"].items()
-        },
-    )
-
-    raw_text = json.loads((directory / TEXT_INDEX_FILE).read_text(encoding="utf-8"))
-    text_index = TextIndex(
-        doc_count=raw_text["doc_count"],
-        postings=raw_text["postings"],
-        doc_lengths=raw_text["doc_lengths"],
-        avg_length=raw_text["avg_length"],
-    )
-    return LoadedIndex(corpus=corpus, statement_index=statement_index, text_index=text_index)

@@ -1,7 +1,9 @@
 """Corpus ingestion, document graphs, and concept statistics."""
 
+import json
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -15,7 +17,9 @@ from docgraph.corpus import (
     concept_coverage,
     concept_idf,
     concept_tf,
+    document_to_record,
     ingest_documents,
+    parse_document_record,
 )
 from docgraph.errors import AbsentConceptError, CorpusFormatError
 
@@ -84,6 +88,109 @@ class TestIngestion:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="cannot read"):
             ingest_documents(tmp_path / "nope.jsonl")
+
+
+def valid_record():
+    return {
+        "doc_id": "X",
+        "text_length": 10,
+        "tokens": ["Alpha", "beta"],
+        "mentions": [
+            {"concept_id": "A", "start": 0, "end": 2},
+            {"concept_id": "B", "start": 3, "end": 5},
+        ],
+        "statements": [
+            {"subject": "A", "predicate": "treats", "object": "B",
+             "confidence": 0.5, "sentence": 0},
+        ],
+    }
+
+
+_DELETE = object()
+
+
+def _change(*path, to=_DELETE):
+    """A mutation that sets the field at ``path`` to ``to``, or deletes it."""
+    def mutate(record):
+        *parents, last = path
+        for key in parents:
+            record = record[key]
+        if to is _DELETE:
+            del record[last]
+        else:
+            record[last] = to
+    return mutate
+
+
+def _proxied(record):
+    return MappingProxyType({
+        **record,
+        "mentions": [MappingProxyType(m) for m in record["mentions"]],
+        "statements": [MappingProxyType(s) for s in record["statements"]],
+    })
+
+
+class TestRecordValidation:
+    """One field wrong at a time: each error keeps its exact text and prefix."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_change("doc_id"), "missing field 'doc_id'"),
+            (_change("mentions", 1, "start"), "missing field 'start'"),
+            (_change("statements", 0, "confidence"), "missing field 'confidence'"),
+            (_change("statements", 0, "sentence"), "missing field 'sentence'"),
+            (_change("text_length", to=True), "field 'text_length' must be an integer"),
+            (_change("mentions", 0, "end", to=True), "field 'end' must be an integer"),
+            (_change("statements", 0, "sentence", to=False), "field 'sentence' must be an integer"),
+            (_change("mentions", 0, "start", to="0"), "field 'start' must be int, got str"),
+            (_change("mentions", 0, "start", to=0.0), "field 'start' must be int, got float"),
+            (_change("mentions", 1, "concept_id", to=7), "field 'concept_id' must be str, got int"),
+            (_change("statements", 0, "subject", to=None), "field 'subject' must be str, got NoneType"),
+            (_change("statements", 0, "confidence", to="0.5"), "field 'confidence' must be float, got str"),
+            (_change("statements", 0, "confidence", to=True), "field 'confidence' must be float, got bool"),
+            (_change("tokens", 1, to=3), "tokens must all be strings"),
+            (_change("mentions", 1, to=["B", 3, 5]), "mention entries must be objects"),
+            (_change("statements", 0, to="A treats B"), "statement entries must be objects"),
+            (_change("statements", to={}), "field 'statements' must be list, got dict"),
+            (
+                _change("statements", 0, "confidence", to=2),
+                "statement (A, treats, B) has confidence 2.0 outside [0, 1]",
+            ),
+        ],
+    )
+    def test_exact_error_text(self, tmp_path, mutate, message):
+        record = valid_record()
+        mutate(record)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(valid_record()) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError) as info:
+            ingest_documents(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_record_not_an_object(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(CorpusFormatError) as info:
+            ingest_documents(path)
+        assert str(info.value) == f"{path}:1: record must be a JSON object"
+
+    @pytest.mark.parametrize("confidence", [0, 1])
+    def test_integer_confidence_is_a_float(self, confidence):
+        record = valid_record()
+        record["statements"][0]["confidence"] = confidence
+        (extraction,) = parse_document_record(record).extractions
+        assert extraction.confidence == confidence
+        assert type(extraction.confidence) is float
+
+    def test_mapping_proxy_record(self):
+        record = valid_record()
+        doc = parse_document_record(_proxied(record), "corpus.jsonl:7")
+        assert document_to_record(doc) == document_to_record(parse_document_record(record))
+        del record["mentions"][0]["end"]
+        with pytest.raises(CorpusFormatError) as info:
+            parse_document_record(_proxied(record), "corpus.jsonl:7")
+        assert str(info.value) == "corpus.jsonl:7: missing field 'end'"
 
 
 class TestDocumentGraph:
