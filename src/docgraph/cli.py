@@ -18,13 +18,14 @@ from .bm25 import bm25_rerank, bm25_retrieve
 from .config import RankingConfig, load_config
 from .errors import DocGraphError, InconsistencyError, InputError
 from .evaluation import METRIC_KEYS, MetricReport, Run, evaluate, load_qrels
-from .matcher import MatchResult, retrieve
+from .matcher import Fragment, retrieve
 from .ontology import Ontology, expand_query_upwards, load_ontology
 from .query import (
     DisjunctiveQuery,
     compile_keyword_topic,
     compile_freetext_topic,
     compile_topic,
+    parse_keyword_components,
     parse_topics_file,
     query_translation_score,
     translate_term_query,
@@ -37,7 +38,7 @@ from .ranker import (
     graph_rank,
 )
 from .storage import LoadedIndex, load_index, save_index
-from .vocabulary import CONCEPT_TYPES, Vocabulary, load_vocabulary
+from .vocabulary import Vocabulary, load_vocabulary
 from .corpus import ingest_documents, paused_gc
 
 RANKERS = ("graphrank", "bm25-rerank", "bm25-native", "none")
@@ -103,63 +104,37 @@ def _mode_name(match_mode: str, expand: bool, ranker: str) -> str:
     return name
 
 
-def _rank_match_result(
+def _rank_class(
     query: DisjunctiveQuery,
-    result: MatchResult,
+    doc_fragments: dict[str, list[Fragment]],
     ctx: _Context,
-    match_mode: str,
+    match_class: str,
     ranker: str,
-    cutoff: int,
-) -> list[RankedDocument]:
-    """Turn one retrieval result into a final ranking for one ranker mode."""
-    corpus = ctx.loaded.corpus
-    include_partial = match_mode == "partial"
-
+) -> list[ScoredDocument]:
+    """Rank the documents of one match class ("full" or "partial") with one ranker."""
     if ranker == "graphrank":
-        full = graph_rank(
-            query, result.full, corpus, ctx.config.taxonomy, ctx.config.weights, "full"
+        return graph_rank(
+            query,
+            doc_fragments,
+            ctx.loaded.corpus,
+            ctx.config.taxonomy,
+            ctx.config.weights,
+            match_class,
         )
-        partial = (
-            graph_rank(
-                query,
-                result.partial,
-                corpus,
-                ctx.config.taxonomy,
-                ctx.config.weights,
-                "partial",
-            )
-            if include_partial
-            else []
+    if ranker == "bm25-rerank":
+        scored = bm25_rerank(
+            query.text, doc_fragments.keys(), ctx.loaded.text_index, ctx.config.bm25
         )
-    elif ranker == "bm25-rerank":
-        def rerank(doc_fragments, match_class):
-            scored = bm25_rerank(
-                query.text,
-                doc_fragments.keys(),
-                ctx.loaded.text_index,
-                ctx.config.bm25,
-            )
-            return [
-                ScoredDocument(doc_id, score, match_class, doc_fragments[doc_id][0])
-                for doc_id, score in scored
-            ]
-
-        full = rerank(result.full, "full")
-        partial = rerank(result.partial, "partial") if include_partial else []
     elif ranker == "none":
-        def by_id_desc(doc_fragments, match_class):
-            # The pre-ranking system's order: doc ids (a date proxy) descending.
-            ordered = sorted(doc_fragments, reverse=True)
-            return [
-                ScoredDocument(doc_id, 1.0 / (i + 1), match_class, doc_fragments[doc_id][0])
-                for i, doc_id in enumerate(ordered)
-            ]
-
-        full = by_id_desc(result.full, "full")
-        partial = by_id_desc(result.partial, "partial") if include_partial else []
+        # The pre-ranking system's order: doc ids (a date proxy) descending.
+        ordered = sorted(doc_fragments, reverse=True)
+        scored = [(doc_id, 1.0 / (i + 1)) for i, doc_id in enumerate(ordered)]
     else:
         raise InputError(f"unknown ranker {ranker!r}")
-    return assemble_final_ranking(full, partial, cutoff=cutoff)
+    return [
+        ScoredDocument(doc_id, score, match_class, doc_fragments[doc_id][0])
+        for doc_id, score in scored
+    ]
 
 
 def _rank_native(
@@ -209,16 +184,7 @@ def _parse_search_query(args, ctx: _Context) -> DisjunctiveQuery:
             triples.append((subject, None if predicate in ("?", "") else predicate, obj))
         return translate_term_query(triples, ctx.vocabulary, ctx.ontology)
     if args.keywords is not None:
-        components = []
-        for raw in args.keywords.split("|"):
-            raw = raw.strip()
-            if not raw:
-                raise InputError("empty component in --keywords")
-            term, _, concept_type = raw.rpartition(":")
-            if term and concept_type in CONCEPT_TYPES:
-                components.append((term.strip(), concept_type))
-            else:
-                components.append((raw, None))
+        components = parse_keyword_components(args.keywords, "--keywords")
         return compile_keyword_topic(components, ctx.vocabulary)
     return compile_freetext_topic(args.freetext, ctx.vocabulary)
 
@@ -238,7 +204,13 @@ def cmd_search(args, ctx: _Context) -> int:
         ranked = _rank_native(query, ctx, args.cutoff)
     else:
         result = retrieve(query, ctx.loaded.statement_index, ctx.loaded.corpus, ctx.scope)
-        ranked = _rank_match_result(query, result, ctx, args.match, args.ranker, args.cutoff)
+        full = _rank_class(query, result.full, ctx, "full", args.ranker)
+        partial = (
+            _rank_class(query, result.partial, ctx, "partial", args.ranker)
+            if args.match == "partial"
+            else []
+        )
+        ranked = assemble_final_ranking(full, partial, cutoff=args.cutoff)
 
     tag = args.tag or _mode_tag(args.match, args.expand_ontology, args.ranker)
     print(f"# {len(ranked)} hits (translation score {query_translation_score(query):.4f})")
@@ -267,16 +239,11 @@ def cmd_evaluate(args, ctx: _Context) -> int:
 
     match_modes = list(dict.fromkeys(args.match or ["full", "partial"]))
     rankers = list(dict.fromkeys(args.ranker or ["graphrank"]))
+    graph_rankers = [ranker for ranker in rankers if ranker != "bm25-native"]
     expand = args.expand_ontology
-    modes: list[tuple[str, str]] = []
-    for match_mode in match_modes:
-        for ranker in rankers:
-            if ranker != "bm25-native":
-                modes.append((match_mode, ranker))
+    modes = [(match_mode, ranker) for match_mode in match_modes for ranker in graph_rankers]
     if "bm25-native" in rankers:
         modes.append(("-", "bm25-native"))
-
-    needs_graph = any(ranker != "bm25-native" for _, ranker in modes)
 
     def process(topic):
         try:
@@ -288,20 +255,26 @@ def cmd_evaluate(args, ctx: _Context) -> int:
             query = expand_query_upwards(query, ctx.ontology)
         result = (
             retrieve(query, ctx.loaded.statement_index, ctx.loaded.corpus, ctx.scope)
-            if needs_graph
+            if graph_rankers
             else None
         )
         rankings = {}
-        for match_mode, ranker in modes:
-            if ranker == "bm25-native":
-                ranked = _rank_native(query, ctx, args.cutoff)
-            else:
-                ranked = _rank_match_result(
-                    query, result, ctx, match_mode, ranker, args.cutoff
+        for ranker in graph_rankers:
+            # Each class is ranked once; every match mode assembles from the same lists.
+            full = _rank_class(query, result.full, ctx, "full", ranker)
+            partial = (
+                _rank_class(query, result.partial, ctx, "partial", ranker)
+                if "partial" in match_modes
+                else []
+            )
+            for match_mode in match_modes:
+                ranked = assemble_final_ranking(
+                    full, partial if match_mode == "partial" else [], cutoff=args.cutoff
                 )
-            rankings[(match_mode, ranker)] = [
-                (entry.doc_id, entry.run_score) for entry in ranked
-            ]
+                rankings[(match_mode, ranker)] = [(e.doc_id, e.run_score) for e in ranked]
+        if "bm25-native" in rankers:
+            ranked = _rank_native(query, ctx, args.cutoff)
+            rankings[("-", "bm25-native")] = [(e.doc_id, e.run_score) for e in ranked]
         return topic.topic_id, translation, rankings, None
 
     outcomes = [process(topic) for topic in topics]

@@ -129,15 +129,26 @@ class Run:
 
     @classmethod
     def read(cls, path: str | Path) -> "Run":
-        text = Path(path).read_text(encoding="utf-8")
-        run: "Run" | None = None
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot read run file {path}: {exc}") from exc
         grouped: dict[str, list[tuple[str, float]]] = {}
         tag = "run"
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            topic_id, _, doc_id, _, score, tag = line.split()
-            grouped.setdefault(topic_id, []).append((doc_id, float(score)))
+            parts = line.split()
+            if len(parts) != 6:
+                raise InputError(
+                    f"{path}:{lineno}: expected 'topic Q0 doc rank score tag', got {line!r}"
+                )
+            topic_id, _, doc_id, _, score_text, tag = parts
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: score {score_text!r} is not a number") from None
+            grouped.setdefault(topic_id, []).append((doc_id, score))
         run = cls(tag)
         for topic_id, entries in grouped.items():
             run.add_topic(topic_id, entries)

@@ -195,10 +195,26 @@ class MatchResult:
     truncated_docs: frozenset[str] = field(default_factory=frozenset)
 
 
-def _fragment_min_node_score(fragment: Fragment, query: DisjunctiveQuery) -> float:
+def fragment_translation(fragment: Fragment, query: DisjunctiveQuery) -> float:
+    """Score of the fragment's worst-translated bound node."""
     return min(
         query.node_score(node, concept) for node, concept in fragment.node_bindings
     )
+
+
+def _pool(
+    bucket: dict[frozenset[Edge], Fragment], fragment: Fragment, query: DisjunctiveQuery
+) -> bool:
+    """Keep the best-translated fragment per edge set; False once the cap is hit."""
+    key = fragment.edge_key()
+    current = bucket.get(key)
+    if current is None:
+        if len(bucket) >= FRAGMENT_CAP:
+            return False
+        bucket[key] = fragment
+    elif fragment_translation(fragment, query) > fragment_translation(current, query):
+        bucket[key] = fragment
+    return True
 
 
 def _pattern_candidate_docs(pattern: FactPattern, index: StatementIndex) -> set[str]:
@@ -325,35 +341,16 @@ def retrieve(
                 continue
             bucket = full_buckets.setdefault(doc_id, {})
             for fragment in fragments:
-                key = fragment.edge_key()
-                current = bucket.get(key)
-                if current is None:
-                    if len(bucket) >= FRAGMENT_CAP:
-                        truncated.add(doc_id)
-                        continue
-                    bucket[key] = fragment
-                elif _fragment_min_node_score(fragment, query) > _fragment_min_node_score(
-                    current, query
-                ):
-                    bucket[key] = fragment
+                if not _pool(bucket, fragment, query):
+                    truncated.add(doc_id)
 
     partial_buckets: dict[str, dict[frozenset[Edge], Fragment]] = {}
     for pattern in query.distinct_patterns():
         for doc_id, fragment in _single_pattern_fragments(pattern, index):
             if doc_id in full_buckets or not in_scope(doc_id):
                 continue
-            bucket = partial_buckets.setdefault(doc_id, {})
-            key = fragment.edge_key()
-            current = bucket.get(key)
-            if current is None:
-                if len(bucket) >= FRAGMENT_CAP:
-                    truncated.add(doc_id)
-                    continue
-                bucket[key] = fragment
-            elif _fragment_min_node_score(fragment, query) > _fragment_min_node_score(
-                current, query
-            ):
-                bucket[key] = fragment
+            if not _pool(partial_buckets.setdefault(doc_id, {}), fragment, query):
+                truncated.add(doc_id)
 
     return MatchResult(
         full={doc_id: list(bucket.values()) for doc_id, bucket in sorted(full_buckets.items())},

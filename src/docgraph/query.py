@@ -399,6 +399,22 @@ class Topic:
     text: str = ""
 
 
+def parse_keyword_components(text: str, where: str) -> tuple[tuple[str, str | None], ...]:
+    """Split ``a | b:type | c`` into (term, type) pairs; an unknown suffix stays
+    part of the term. ``where`` prefixes the error for an empty component."""
+    components = []
+    for raw in text.split("|"):
+        raw = raw.strip()
+        if not raw:
+            raise TopicsFormatError(f"{where}: empty component")
+        term, _, concept_type = raw.rpartition(":")
+        if term and concept_type in CONCEPT_TYPES:
+            components.append((term.strip(), concept_type))
+        else:
+            components.append((raw, None))
+    return tuple(components)
+
+
 def parse_topics_file(source: str | Path) -> list[Topic]:
     """Parse a topics file with one topic per line.
 
@@ -427,17 +443,8 @@ def parse_topics_file(source: str | Path) -> list[Topic]:
         if kind == "freetext":
             topics.append(Topic(topic_id, "freetext", text=payload))
         elif kind == "keyword":
-            components = []
-            for raw in payload.split("|"):
-                raw = raw.strip()
-                if not raw:
-                    raise TopicsFormatError(f"{path}:{lineno}: empty component")
-                term, _, concept_type = raw.rpartition(":")
-                if term and concept_type in CONCEPT_TYPES:
-                    components.append((term.strip(), concept_type))
-                else:
-                    components.append((raw, None))
-            topics.append(Topic(topic_id, "keyword", components=tuple(components)))
+            components = parse_keyword_components(payload, f"{path}:{lineno}")
+            topics.append(Topic(topic_id, "keyword", components=components))
         else:
             raise TopicsFormatError(
                 f"{path}:{lineno}: unknown topic kind {kind!r} (keyword|freetext)"

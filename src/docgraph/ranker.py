@@ -24,7 +24,7 @@ from .corpus import (
     concept_tf,
 )
 from .errors import InconsistencyError, InputError, MissingSpecificityError
-from .matcher import Fragment
+from .matcher import Fragment, fragment_translation
 from .query import DisjunctiveQuery
 
 DEFAULT_CUTOFF = 1000
@@ -81,9 +81,6 @@ class PredicateTaxonomy:
             raise MissingSpecificityError(
                 f"predicate {predicate!r} has no specificity in the taxonomy"
             ) from None
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._specificity)
 
 
 @dataclass(frozen=True)
@@ -222,13 +219,6 @@ def relational_similarity(
     return total
 
 
-def fragment_translation(fragment: Fragment, query: DisjunctiveQuery) -> float:
-    """Score of the fragment's worst-translated bound node."""
-    return min(
-        query.node_score(node, concept) for node, concept in fragment.node_bindings
-    )
-
-
 def similarity_vector(
     fragment: Fragment,
     query: DisjunctiveQuery,
@@ -353,32 +343,20 @@ def assemble_final_ranking(
         raise InconsistencyError(
             f"documents in both full and partial lists: {sorted(overlap)[:5]}"
         )
-    ranked = []
-    for offset, scored_list in ((1.0, full), (0.0, partial)):
-        for scored in scored_list:
-            if scored.score < 0:
-                raise InconsistencyError(
-                    f"negative model score {scored.score} for {scored.doc_id}"
-                )
-            ranked.append(
-                RankedDocument(
-                    rank=0,
-                    doc_id=scored.doc_id,
-                    run_score=offset + _band(scored.score),
-                    model_score=scored.score,
-                    match_class=scored.match_class,
-                    best_fragment=scored.best_fragment,
-                )
+    pairs = [(1.0, s) for s in full] + [(0.0, s) for s in partial]
+    for _, scored in pairs:
+        if scored.score < 0:
+            raise InconsistencyError(
+                f"negative model score {scored.score} for {scored.doc_id}"
             )
-    ranked = ranked[:cutoff]
     return [
         RankedDocument(
             rank=i + 1,
-            doc_id=r.doc_id,
-            run_score=r.run_score,
-            model_score=r.model_score,
-            match_class=r.match_class,
-            best_fragment=r.best_fragment,
+            doc_id=scored.doc_id,
+            run_score=offset + _band(scored.score),
+            model_score=scored.score,
+            match_class=scored.match_class,
+            best_fragment=scored.best_fragment,
         )
-        for i, r in enumerate(ranked)
+        for i, (offset, scored) in enumerate(pairs[:cutoff])
     ]

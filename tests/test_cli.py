@@ -237,7 +237,7 @@ class TestSearchCommand:
         def boom(*args, **kwargs):
             raise InconsistencyError("synthetic fault")
 
-        monkeypatch.setattr(cli, "_rank_match_result", boom)
+        monkeypatch.setattr(cli, "assemble_final_ranking", boom)
         code = main(
             [
                 "search",
@@ -247,6 +247,17 @@ class TestSearchCommand:
         )
         assert code == 2
         assert "internal inconsistency" in capsys.readouterr().err
+
+    def test_empty_keyword_component_exits_one(self, fix1_index_dir, capsys):
+        code = main(
+            [
+                "search",
+                *fix1_args(index_dir=fix1_index_dir),
+                "--keywords", "metformin |  | diabetes",
+            ]
+        )
+        assert code == 1
+        assert "--keywords: empty component" in capsys.readouterr().err
 
     def test_bm25_native(self, fix1_index_dir, tmp_path):
         out = tmp_path / "runs"
@@ -301,6 +312,82 @@ class TestEvaluateCommand:
         }
         # T1's "diabetes" component best-matches "diabetes mellitus" (Jaccard 0.5)
         assert metrics["translation_scores"]["T1"] == 0.5
+
+    @pytest.mark.parametrize(
+        "match_modes, calls_per_topic",
+        [(["full", "partial"], 2), (["full"], 1)],
+        ids=["full+partial", "full-only"],
+    )
+    def test_each_class_ranked_once(
+        self, fix1_index_dir, tmp_path, monkeypatch, match_modes, calls_per_topic
+    ):
+        # The full class is shared by both match modes, so each ranker scores
+        # it once per topic, plus the partial class once: two calls, not three.
+        # The partial class is ranked only when a partial mode shows it.
+        from docgraph import cli
+
+        calls = {"graph_rank": 0, "bm25_rerank": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        out = tmp_path / "eval"
+        code = main(
+            self.evaluate_args(fix1_index_dir, out)
+            + [arg for mode in match_modes for arg in ("--match", mode)]
+            + ["--ranker", "graphrank", "--ranker", "bm25-rerank"]
+        )
+        assert code == 0
+        translated = len(json.loads((out / "metrics.json").read_text())["translation_scores"])
+        assert translated == 2
+        expected = calls_per_topic * translated
+        assert calls == {"graph_rank": expected, "bm25_rerank": expected}
+
+    def test_full_mode_leaves_out_partial_class(self, fix1_index_dir, tmp_path):
+        # D-A holds all three edges of the triangle; D-B only metformin-diabetes.
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("T1\tkeyword\tmetformin | diabetes | hypertension\n")
+        out = tmp_path / "eval"
+        code = main(
+            [
+                "evaluate",
+                *fix1_args(index_dir=fix1_index_dir),
+                "--topics", str(topics),
+                "--qrels", str(FIXTURES / "fix1_qrels.txt"),
+                "--out", str(out),
+                "--ranker", "graphrank", "--ranker", "none",
+            ]
+        )
+        assert code == 0
+        for full_tag, partial_tag in (("full-graphrank", "partial-graphrank"), ("full", "partial")):
+            full = Run.read(out / f"run-{full_tag}.txt")
+            partial = Run.read(out / f"run-{partial_tag}.txt")
+            assert full.doc_ids("T1") == ["D-A"]
+            assert partial.doc_ids("T1") == ["D-A", "D-B"]
+            assert partial.entries("T1")[0] == full.entries("T1")[0]
+
+    def test_empty_topic_component_exits_one(self, fix1_index_dir, tmp_path, capsys):
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("T1\tkeyword\tmetformin | | diabetes\n")
+        code = main(
+            [
+                "evaluate",
+                *fix1_args(index_dir=fix1_index_dir),
+                "--topics", str(topics),
+                "--qrels", str(FIXTURES / "fix1_qrels.txt"),
+                "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 1
+        assert f"{topics}:1: empty component" in capsys.readouterr().err
 
     def test_hand_verified_metrics(self, fix1_index_dir, tmp_path):
         # T1 (metformin ?any diabetes): D-A and D-B both match fully; D-A's

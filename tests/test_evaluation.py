@@ -156,6 +156,22 @@ class TestRun:
         with pytest.raises(InputError):
             Run("has space")
 
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            ("T1 Q0 A 1 0.5 tag\nT1 Q0 B 2 0.25\n", r"run\.txt:2: expected 'topic Q0 doc rank score tag'"),
+            ("T1 Q0 A 1 high tag\n", r"run\.txt:1: score 'high' is not a number"),
+            (None, r"cannot read run file .*missing\.txt"),
+        ],
+        ids=["short-line", "non-numeric-score", "missing-file"],
+    )
+    def test_read_rejects_bad_input(self, tmp_path, content, expected):
+        path = tmp_path / ("missing.txt" if content is None else "run.txt")
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(InputError, match=expected):
+            Run.read(path)
+
 
 class TestEvaluate:
     def test_single_topic_hand_values(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from docgraph import matcher
 from docgraph.matcher import build_statement_index, matches, retrieve
 from docgraph.corpus import Corpus
 from docgraph.query import (
@@ -182,6 +183,58 @@ class TestRetrieve:
         assert result.partial == {}
         assert result.full["D-A"][0].edges == ()
         assert result.full["D-A"][0].node_map == {"h": "H"}
+
+    def test_pooling_cap_marks_truncation(self, monkeypatch):
+        # F fully matches with two fragments; P matches only the first pattern,
+        # with two one-edge fragments. A pool cap of 1 keeps one of each.
+        raw = {
+            "F": {
+                "length": 100,
+                "mentions": {"a": [0], "b": [10], "c": [20], "d": [30]},
+                "statements": [("a", "treats", x, 0.5) for x in "bcd"],
+                "tokens": [],
+            },
+            "P": {
+                "length": 100,
+                "mentions": {"a": [0], "b": [10], "c": [20]},
+                "statements": [("a", "treats", x, 0.5) for x in "bc"],
+                "tokens": [],
+            },
+        }
+        corpus = corpus_from_raw(raw)
+        index = build_statement_index(corpus)
+        a, bc, d = concept_set("a", "a"), concept_set("bc", "b", "c"), concept_set("d", "d")
+        query = simple_query(
+            [
+                FactPattern(a, PredicateSlot.wildcard(), bc),
+                FactPattern(a, PredicateSlot.wildcard(), d),
+            ],
+            (a, bc, d),
+        )
+        result = retrieve(query, index, corpus)
+        assert (len(result.full["F"]), len(result.partial["P"])) == (2, 2)
+        assert result.truncated_docs == frozenset()
+        monkeypatch.setattr(matcher, "FRAGMENT_CAP", 1)
+        capped = retrieve(query, index, corpus)
+        assert capped.full["F"] == result.full["F"][:1]
+        assert capped.partial["P"] == result.partial["P"][:1]
+        assert capped.truncated_docs == {"F", "P"}
+
+    def test_pooling_keeps_best_translated_binding(self, fix1_corpus, fix1_index):
+        # Both alternatives bind D-B's one edge; the later one translates better.
+        x = ConceptSet("x", "x", [ExpandedConcept("M", 1.0), ExpandedConcept("DM", 0.5)])
+        y = ConceptSet("y", "y", [ExpandedConcept("DM", 1.0), ExpandedConcept("M", 0.5)])
+        query = DisjunctiveQuery(
+            (x, y),
+            (
+                NarrativeQuery([FactPattern(y, PredicateSlot.wildcard(), x)]),
+                NarrativeQuery([FactPattern(x, PredicateSlot.wildcard(), y)]),
+            ),
+            text="q",
+        )
+        result = retrieve(query, fix1_index, fix1_corpus, scope=frozenset({"D-B"}))
+        (fragment,) = result.full["D-B"]
+        assert fragment.node_map == {"x": "M", "y": "DM"}
 
     def test_full_and_partial_disjoint_random(self):
         rng = random.Random(41)

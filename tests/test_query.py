@@ -18,6 +18,7 @@ from docgraph.query import (
     compile_freetext_topic,
     compile_keyword_topic,
     compile_topic,
+    parse_keyword_components,
     parse_topics_file,
     query_translation_score,
     spanning_trees,
@@ -277,6 +278,13 @@ class TestTopicsFile:
         topics = parse_topics_file(path)
         # "some:thing" has no known type suffix; kept verbatim
         assert topics[0].components == (("melanoma", None), ("some:thing", None))
+
+    def test_keyword_components_shared_parser(self):
+        assert parse_keyword_components(" melanoma:disease |some:thing| braf ", "x") == (
+            ("melanoma", "disease"), ("some:thing", None), ("braf", None)
+        )
+        with pytest.raises(TopicsFormatError, match="^where:3: empty component$"):
+            parse_keyword_components("a |  | b", "where:3")
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "topics.tsv"

@@ -543,6 +543,12 @@ class TestAssembleFinalRanking:
         with pytest.raises(InconsistencyError):
             assemble_final_ranking(full, partial)
 
+    def test_negative_score_past_cutoff_is_inconsistency(self):
+        full = [ScoredDocument("A", 0.5, "full", self.fragment("A"))]
+        partial = [ScoredDocument("B", -0.1, "partial", self.fragment("B"))]
+        with pytest.raises(InconsistencyError, match="negative model score"):
+            assemble_final_ranking(full, partial, cutoff=1)
+
     def test_run_scores_non_increasing(self):
         rng = random.Random(83)
         for _ in range(50):
