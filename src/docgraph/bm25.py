@@ -68,6 +68,14 @@ def _idf(token: str, index: TextIndex) -> float:
     return math.log((index.doc_count - df + 0.5) / (df + 0.5) + 1.0)
 
 
+def _length_norm(length: int, index: TextIndex, params: BM25Params) -> float:
+    """BM25's document-length normalisation ``1 - b + b * length / avg``."""
+    norm = 1.0 - params.b
+    if index.avg_length > 0:
+        norm += params.b * length / index.avg_length
+    return norm
+
+
 def bm25_score(
     query_tokens: Sequence[str],
     doc_id: str,
@@ -75,10 +83,7 @@ def bm25_score(
     params: BM25Params = BM25Params(),
 ) -> float:
     """Sum of per-token BM25 contributions; absent tokens contribute 0."""
-    length = index.doc_lengths.get(doc_id, 0)
-    norm = 1.0 - params.b
-    if index.avg_length > 0:
-        norm += params.b * length / index.avg_length
+    norm = _length_norm(index.doc_lengths.get(doc_id, 0), index, params)
     score = 0.0
     for token in query_tokens:
         tf = index.postings.get(token, {}).get(doc_id, 0)
@@ -120,10 +125,7 @@ def bm25_retrieve(
         for doc_id, tf in entry.items():
             if scope is not None and doc_id not in scope:
                 continue
-            length = index.doc_lengths[doc_id]
-            norm = 1.0 - params.b
-            if index.avg_length > 0:
-                norm += params.b * length / index.avg_length
+            norm = _length_norm(index.doc_lengths[doc_id], index, params)
             contribution = idf * tf * (params.k1 + 1.0) / (tf + params.k1 * norm)
             accumulated[doc_id] = accumulated.get(doc_id, 0.0) + contribution * repeat
     ranked = [(doc_id, score) for doc_id, score in accumulated.items() if score > 0.0]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bm25 import bm25_rerank, bm25_retrieve
 from .config import RankingConfig, load_config
-from .errors import DocGraphError, InconsistencyError, InputError
+from .errors import DocGraphError, InconsistencyError, InputError, read_input_text
 from .evaluation import METRIC_KEYS, MetricReport, Run, evaluate, load_qrels
 from .matcher import Fragment, retrieve
 from .ontology import Ontology, expand_query_upwards, load_ontology
@@ -63,10 +63,7 @@ class _Context:
 def _load_scope(path: str | None) -> frozenset[str] | None:
     if path is None:
         return None
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read scope file {path}: {exc}") from exc
+    lines = read_input_text(path, "scope").splitlines()
     return frozenset(line.strip() for line in lines if line.strip())
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bm25 import BM25Params
-from .errors import ConfigFormatError, InputError
+from .errors import ConfigFormatError, InputError, read_input_text
 from .ranker import PredicateTaxonomy, Weights
 
 
@@ -32,10 +32,7 @@ class RankingConfig:
 
 def load_config(source: str | Path) -> RankingConfig:
     path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigFormatError(f"cannot read config file {path}: {exc}") from exc
+    text = read_input_text(path, "config", ConfigFormatError)
 
     weights = None
     k1 = None

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AbsentConceptError, CorpusFormatError
+from .errors import AbsentConceptError, CorpusFormatError, read_input_text
 
 # A directed labeled edge of a document graph.
 Edge = tuple[str, str, str]
@@ -392,8 +392,4 @@ def parse_corpus(text: str, path: Path) -> Corpus:
 def ingest_documents(source: str | Path) -> Corpus:
     """Load a line-delimited JSON corpus file into a Corpus."""
     path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
-    return parse_corpus(text, path)
+    return parse_corpus(read_input_text(path, "corpus", CorpusFormatError), path)

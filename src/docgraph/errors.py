@@ -1,4 +1,6 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the input-file reader."""
+
+from pathlib import Path
 
 
 class DocGraphError(Exception):
@@ -55,3 +57,11 @@ class MissingSpecificityError(DocGraphError):
 
 class InconsistencyError(DocGraphError):
     """Internal invariant violation (e.g. full/partial overlap). Exit code 2."""
+
+
+def read_input_text(path: str | Path, kind: str, error: type[InputError] = InputError) -> str:
+    """The UTF-8 text of an input file, or ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {kind} file {path}: {exc}") from exc

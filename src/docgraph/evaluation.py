@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, QrelsFormatError
+from .errors import InputError, QrelsFormatError, read_input_text
 
 METRIC_KEYS = (
     "recall@1000",
@@ -59,10 +59,7 @@ class Qrels:
 def load_qrels(source: str | Path) -> Qrels:
     """Load whitespace-separated ``topic_id 0 doc_id grade`` lines."""
     path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise QrelsFormatError(f"cannot read qrels file {path}: {exc}") from exc
+    text = read_input_text(path, "qrels", QrelsFormatError)
     grades: dict[str, dict[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -129,10 +126,7 @@ class Run:
 
     @classmethod
     def read(cls, path: str | Path) -> "Run":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot read run file {path}: {exc}") from exc
+        text = read_input_text(path, "run")
         grouped: dict[str, list[tuple[str, float]]] = {}
         tag = "run"
         for lineno, line in enumerate(text.splitlines(), start=1):

@@ -4,8 +4,13 @@ A fragment is one binding of a query's fact patterns to concrete document
 edges. Fragment identity is the bound edge tuple in pattern order; the first
 binding found in deterministic order (patterns in order, candidate edges
 lexicographic, forward orientation before reverse) supplies the node
-witnesses. Candidate documents come from posting-list intersections over the
-pair index, then each candidate is verified by full enumeration.
+witnesses.
+
+``retrieve`` looks each distinct fact pattern up once in the pair index, which
+holds each document edge once; ``_pattern_orientations`` is the one rule that
+binds an edge to a pattern. A lookup's documents are the pattern's candidates,
+which each alternative intersects and verifies by full enumeration; its
+fragments are the pattern's partial matches.
 """
 
 from __future__ import annotations
@@ -56,37 +61,32 @@ class FragmentList(list):
 class StatementIndex:
     """Inverted indexes over all document graphs of a corpus.
 
-    - triple: (s, p, o) -> doc ids containing that exact edge
-    - pair: unordered {a, b} -> (doc id, directed edge) entries
+    - pair: unordered {a, b} -> sorted (doc id, directed edge) entries, so
+      each document edge is held once, under its two concepts
     - concept_docs: concept id -> doc ids mentioning it
     """
 
-    __slots__ = ("triple", "pair", "concept_docs")
+    __slots__ = ("pair", "concept_docs")
 
     def __init__(
         self,
-        triple: Mapping[Edge, frozenset[str]],
         pair: Mapping[frozenset[str], tuple[tuple[str, Edge], ...]],
         concept_docs: Mapping[str, frozenset[str]],
     ):
-        self.triple = dict(triple)
         self.pair = dict(pair)
         self.concept_docs = dict(concept_docs)
 
 
 def build_statement_index(corpus: Corpus) -> StatementIndex:
-    triple: dict[Edge, set[str]] = {}
     pair: dict[frozenset[str], list[tuple[str, Edge]]] = {}
     concept_docs: dict[str, set[str]] = {}
     for doc_id in corpus.doc_ids:
         for edge in corpus.graph(doc_id).sorted_edges:
             subject, _, obj = edge
-            triple.setdefault(edge, set()).add(doc_id)
             pair.setdefault(frozenset((subject, obj)), []).append((doc_id, edge))
         for concept in corpus.document(doc_id).concept_counts:
             concept_docs.setdefault(concept, set()).add(doc_id)
     return StatementIndex(
-        triple={edge: frozenset(docs) for edge, docs in triple.items()},
         pair={key: tuple(sorted(entries)) for key, entries in pair.items()},
         concept_docs={c: frozenset(docs) for c, docs in concept_docs.items()},
     )
@@ -217,72 +217,40 @@ def _pool(
     return True
 
 
-def _pattern_candidate_docs(pattern: FactPattern, index: StatementIndex) -> set[str]:
-    docs: set[str] = set()
-    subjects = pattern.subject.concept_ids()
-    objects = pattern.object.concept_ids()
-    if pattern.predicate.is_wildcard:
-        for s in subjects:
-            for o in objects:
-                if s == o:
-                    continue
-                for doc_id, _ in index.pair.get(frozenset((s, o)), ()):
-                    docs.add(doc_id)
-    else:
-        for s in subjects:
-            for o in objects:
-                if s == o:
-                    continue
-                for p in pattern.predicate.labels:
-                    docs.update(index.triple.get((s, p, o), ()))
-    return docs
-
-
-def _single_pattern_fragments(
+def _pattern_fragments(
     pattern: FactPattern, index: StatementIndex
-) -> Iterator[tuple[str, Fragment]]:
-    """Deterministic stream of one-pattern matches straight off the indexes."""
+) -> dict[str, list[Fragment]]:
+    """Each document's one-pattern fragments, straight off the pair index.
+
+    The keys are the pattern's candidate documents. Pair keys are visited in
+    sorted (subject, object) concept order, each document's edges under a key
+    in edge order, and each edge binds in its first orientation.
+    """
     subject_node = pattern.subject.node_id
     object_node = pattern.object.node_id
+    table: dict[str, list[Fragment]] = {}
     if subject_node == object_node:
-        return
-    subjects = sorted(pattern.subject.concept_ids())
-    objects = sorted(pattern.object.concept_ids())
-    if pattern.predicate.is_wildcard:
-        seen_pairs = set()
-        for s in subjects:
-            for o in objects:
-                if s == o:
+        return table
+    seen_pairs = set()
+    for s in sorted(pattern.subject.concept_ids()):
+        for o in sorted(pattern.object.concept_ids()):
+            key = frozenset((s, o))
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            for doc_id, edge in index.pair.get(key, ()):
+                binding = next(_pattern_orientations(pattern, edge), None)
+                if binding is None:
                     continue
-                key = frozenset((s, o))
-                if key in seen_pairs:
-                    continue
-                seen_pairs.add(key)
-                for doc_id, edge in index.pair.get(key, ()):
-                    for s_concept, o_concept in _pattern_orientations(pattern, edge):
-                        yield doc_id, Fragment(
-                            doc_id,
-                            (edge,),
-                            tuple(
-                                sorted(
-                                    {subject_node: s_concept, object_node: o_concept}.items()
-                                )
-                            ),
-                        )
-                        break  # forward orientation wins
-    else:
-        for s in subjects:
-            for o in objects:
-                if s == o:
-                    continue
-                for p in sorted(pattern.predicate.labels):
-                    edge = (s, p, o)
-                    for doc_id in sorted(index.triple.get(edge, ())):
-                        yield doc_id, Fragment(
-                            doc_id,
-                            (edge,),
-                            tuple(sorted({subject_node: s, object_node: o}.items())),
-                        )
+                s_concept, o_concept = binding
+                table.setdefault(doc_id, []).append(
+                    Fragment(
+                        doc_id,
+                        (edge,),
+                        tuple(sorted(((subject_node, s_concept), (object_node, o_concept)))),
+                    )
+                )
+    return table
 
 
 def retrieve(
@@ -320,13 +288,17 @@ def retrieve(
                 full[doc_id] = fragments
         return MatchResult(full=full, partial={})
 
+    tables = {
+        pattern.key(): _pattern_fragments(pattern, index)
+        for pattern in query.distinct_patterns()
+    }
     truncated: set[str] = set()
     full_buckets: dict[str, dict[frozenset[Edge], Fragment]] = {}
     for alternative in query.alternatives:
         candidates: set[str] | None = None
         for pattern in alternative.patterns:
-            docs = _pattern_candidate_docs(pattern, index)
-            candidates = docs if candidates is None else candidates & docs
+            docs = tables[pattern.key()].keys()
+            candidates = set(docs) if candidates is None else candidates & docs
             if not candidates:
                 break
         if not candidates:
@@ -345,12 +317,14 @@ def retrieve(
                     truncated.add(doc_id)
 
     partial_buckets: dict[str, dict[frozenset[Edge], Fragment]] = {}
-    for pattern in query.distinct_patterns():
-        for doc_id, fragment in _single_pattern_fragments(pattern, index):
+    for table in tables.values():
+        for doc_id, fragments in table.items():
             if doc_id in full_buckets or not in_scope(doc_id):
                 continue
-            if not _pool(partial_buckets.setdefault(doc_id, {}), fragment, query):
-                truncated.add(doc_id)
+            bucket = partial_buckets.setdefault(doc_id, {})
+            for fragment in fragments:
+                if not _pool(bucket, fragment, query):
+                    truncated.add(doc_id)
 
     return MatchResult(
         full={doc_id: list(bucket.values()) for doc_id, bucket in sorted(full_buckets.items())},

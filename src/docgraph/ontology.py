@@ -12,7 +12,7 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable
 
-from .errors import OntologyFormatError
+from .errors import OntologyFormatError, read_input_text
 from .query import ConceptSet, DisjunctiveQuery, ExpandedConcept
 
 
@@ -53,12 +53,6 @@ class Ontology:
             raise OntologyFormatError(
                 f"ontology contains a cycle involving {', '.join(cyclic[:5])}"
             )
-
-    def parents(self, concept_id: str) -> frozenset[str]:
-        return self._parents.get(concept_id, frozenset())
-
-    def children(self, concept_id: str) -> frozenset[str]:
-        return self._children.get(concept_id, frozenset())
 
     def superclasses(self, concept_id: str) -> frozenset[str]:
         """All direct and transitive superclasses, excluding the concept."""
@@ -102,10 +96,7 @@ class Ontology:
 def load_ontology(source: str | Path) -> Ontology:
     """Load a tab-separated ``child <TAB> parent`` edge file."""
     path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OntologyFormatError(f"cannot read ontology file {path}: {exc}") from exc
+    text = read_input_text(path, "ontology", OntologyFormatError)
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):

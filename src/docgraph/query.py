@@ -20,6 +20,7 @@ from .errors import (
     UnsupportedArityError,
     UntranslatableTermError,
     UntranslatableTopicError,
+    read_input_text,
 )
 from .vocabulary import (
     CONCEPT_TYPES,
@@ -422,10 +423,7 @@ def parse_topics_file(source: str | Path) -> list[Topic]:
     ``id <TAB> freetext <TAB> query string``.
     """
     path = Path(source)
-    try:
-        content = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TopicsFormatError(f"cannot read topics file {path}: {exc}") from exc
+    content = read_input_text(path, "topics", TopicsFormatError)
     topics = []
     seen_ids = set()
     for lineno, line in enumerate(content.splitlines(), start=1):

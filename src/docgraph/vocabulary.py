@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import VocabularyFormatError
+from .errors import VocabularyFormatError, read_input_text
 
 CONCEPT_TYPES = ("disease", "drug", "gene", "species", "other")
 
@@ -100,9 +100,6 @@ class Vocabulary:
 
     def entry(self, concept_id: str) -> ConceptEntry:
         return self._entries[concept_id]
-
-    def concept_type(self, concept_id: str) -> str:
-        return self._entries[concept_id].concept_type
 
     def _synonyms_containing(self, token: str) -> set[int]:
         """Indexes of synonyms containing the token as a substring."""
@@ -202,10 +199,7 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
     The first synonym is the preferred label.
     """
     path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise VocabularyFormatError(f"cannot read vocabulary file {path}: {exc}") from exc
+    text = read_input_text(path, "vocabulary", VocabularyFormatError)
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):

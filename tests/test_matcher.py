@@ -14,7 +14,9 @@ from docgraph.query import (
     FactPattern,
     NarrativeQuery,
     PredicateSlot,
+    compile_keyword_topic,
 )
+from docgraph.vocabulary import ConceptEntry, Vocabulary
 
 from oracles import oracle_matches, oracle_retrieve
 from randgen import corpus_from_raw, random_query, random_raw_corpus
@@ -34,9 +36,6 @@ def fix1_index(fix1_corpus):
 
 
 class TestStatementIndex:
-    def test_triple_postings(self, fix1_index):
-        assert fix1_index.triple[("M", "treats", "DM")] == {"D-A"}
-
     def test_pair_postings(self, fix1_index):
         entries = set(fix1_index.pair[frozenset(("M", "DM"))])
         assert entries == {
@@ -50,20 +49,22 @@ class TestStatementIndex:
 
     def test_empty_corpus(self):
         index = build_statement_index(Corpus([]))
-        assert index.triple == {} and index.pair == {} and index.concept_docs == {}
+        assert index.pair == {} and index.concept_docs == {}
 
     def test_consistent_with_graphs(self, fix1_corpus, fix1_index):
-        indexed = {
+        indexed = [
             (doc_id, edge)
-            for edge, docs in fix1_index.triple.items()
-            for doc_id in docs
-        }
-        in_graphs = {
+            for key, entries in fix1_index.pair.items()
+            for doc_id, edge in entries
+            if key == frozenset((edge[0], edge[2]))
+        ]
+        in_graphs = [
             (doc_id, edge)
             for doc_id in fix1_corpus.doc_ids
             for edge in fix1_corpus.graph(doc_id).sorted_edges
-        }
-        assert indexed == in_graphs
+        ]
+        assert sorted(indexed) == sorted(in_graphs)
+        assert all(list(entries) == sorted(entries) for entries in fix1_index.pair.values())
 
 
 class TestMatches:
@@ -235,6 +236,79 @@ class TestRetrieve:
         result = retrieve(query, fix1_index, fix1_corpus, scope=frozenset({"D-B"}))
         (fragment,) = result.full["D-B"]
         assert fragment.node_map == {"x": "M", "y": "DM"}
+
+    def test_one_lookup_per_distinct_pattern(self, monkeypatch):
+        # 4 components compile to 16 spanning-tree alternatives of 3 patterns
+        # each, over 6 distinct patterns.
+        raw = {
+            "FULL": {
+                "length": 100,
+                "mentions": {c: [i] for i, c in enumerate("ABCD")},
+                "statements": [("A", "treats", "B", 0.5), ("B", "treats", "C", 0.5),
+                               ("C", "treats", "D", 0.5)],
+                "tokens": [],
+            },
+            "PART": {
+                "length": 100,
+                "mentions": {"A": [0], "D": [10]},
+                "statements": [("D", "treats", "A", 0.5)],
+                "tokens": [],
+            },
+        }
+        corpus = corpus_from_raw(raw)
+        vocabulary = Vocabulary(
+            ConceptEntry(c, "drug", "", (f"term{c.lower()}",)) for c in "ABCD"
+        )
+        query = compile_keyword_topic([(f"term{c}", None) for c in "abcd"], vocabulary)
+        assert len(query.alternatives) == 16
+        calls = []
+        lookup = matcher._pattern_fragments
+
+        def counting(pattern, index):
+            calls.append(pattern.key())
+            return lookup(pattern, index)
+
+        monkeypatch.setattr(matcher, "_pattern_fragments", counting)
+        result = retrieve(query, build_statement_index(corpus), corpus)
+        assert len(calls) == len(set(calls)) == 6
+        assert set(result.full) == {"FULL"}
+        assert set(result.partial) == {"PART"}
+
+    def test_concrete_overlap_partial_order(self, monkeypatch):
+        # x and y share a and b, so the edges between them are looked up under
+        # their one pair key {a, b}, in edge order, before the pair {a, c}.
+        raw = {
+            "R": {
+                "length": 100,
+                "mentions": {"a": [0], "b": [10], "c": [20]},
+                "statements": [("a", "treats", "c", 0.5), ("b", "treats", "a", 0.5),
+                               ("a", "treats", "b", 0.5)],
+                "tokens": [],
+            }
+        }
+        corpus = corpus_from_raw(raw)
+        index = build_statement_index(corpus)
+        x, y = concept_set("x", "a", "b"), concept_set("y", "a", "b", "c")
+        z = concept_set("z", "d")
+        query = simple_query(
+            [
+                FactPattern(x, PredicateSlot.of("treats"), y),
+                FactPattern(y, PredicateSlot.wildcard(), z),
+            ],
+            (x, y, z),
+        )
+        result = retrieve(query, index, corpus)
+        assert result.full == {}
+        assert [(f.edges, f.node_map) for f in result.partial["R"]] == [
+            ((("a", "treats", "b"),), {"x": "a", "y": "b"}),
+            ((("b", "treats", "a"),), {"x": "b", "y": "a"}),
+            ((("a", "treats", "c"),), {"x": "a", "y": "c"}),
+        ]
+        assert result.truncated_docs == frozenset()
+        monkeypatch.setattr(matcher, "FRAGMENT_CAP", 2)
+        capped = retrieve(query, index, corpus)
+        assert capped.partial["R"] == result.partial["R"][:2]
+        assert capped.truncated_docs == {"R"}
 
     def test_full_and_partial_disjoint_random(self):
         rng = random.Random(41)
