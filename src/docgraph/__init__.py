@@ -13,10 +13,7 @@ from .corpus import (
     Corpus,
     CorpusStats,
     Document,
-    DocumentGraph,
-    EdgeRecord,
     StatementExtraction,
-    build_document_graph,
     concept_coverage,
     concept_idf,
     concept_tf,

@@ -22,8 +22,8 @@ class BM25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise InputError(f"k1 must be positive, got {self.k1}")
+        if not (math.isfinite(self.k1) and self.k1 > 0):
+            raise InputError(f"k1 must be finite and positive, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise InputError(f"b must lie in [0, 1], got {self.b}")
 
@@ -114,6 +114,8 @@ def bm25_retrieve(
     scope: frozenset[str] | set[str] | None = None,
 ) -> list[tuple[str, float]]:
     """Top-k documents with positive BM25 score, optionally within a scope."""
+    if k < 1:
+        raise InputError(f"cutoff must be >= 1, got {k}")
     tokens = tokenize(query_text)
     accumulated: dict[str, float] = {}
     for token in dict.fromkeys(tokens):

@@ -1,10 +1,11 @@
-"""Corpus ingestion, per-document statement graphs, and concept statistics.
+"""Corpus ingestion, documents as statement graphs, and concept statistics.
 
 Documents arrive pre-annotated: concept mentions with character offsets and
 (subject, predicate, object) statement extractions with confidence scores.
 The upstream NLP pipeline that produces these annotations is not part of this
-package. After construction a :class:`Corpus` and everything hanging off it
-(documents, graphs, stats) is immutable and safe for concurrent readers.
+package. Each :class:`Document` is its own graph: one edge per distinct
+statement. After construction a :class:`Corpus` and everything hanging off it
+(documents, stats) is immutable and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -47,20 +48,14 @@ class StatementExtraction:
         return (self.subject, self.predicate, self.object)
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """Aggregate over all extractions supporting one distinct edge."""
-
-    max_confidence: float
-    support_count: int
-
-
 class Document:
-    """A validated, immutable pre-annotated document.
+    """A validated, immutable pre-annotated document and its statement graph.
 
     Offsets are 0-based character positions with exclusive ends. The token
-    list is only consumed by the BM25 baseline; graph scoring works entirely
-    off mentions and extractions.
+    list is only consumed by the BM25 baseline. The graph is ``edges``: each
+    distinct (subject, predicate, object) triple maps to the maximum
+    confidence over the extractions that state it; ``sorted_edges`` lists
+    the same triples in lexicographic order.
     """
 
     __slots__ = (
@@ -72,6 +67,8 @@ class Document:
         "concept_counts",
         "max_concept_count",
         "_mention_span",
+        "edges",
+        "sorted_edges",
     )
 
     def __init__(
@@ -109,6 +106,7 @@ class Document:
         self.max_concept_count = max(counts.values()) if counts else 0
         self._mention_span = span
 
+        edges: dict[Edge, float] = {}
         for ex in self.extractions:
             if ex.subject == ex.object:
                 raise CorpusFormatError(
@@ -126,6 +124,12 @@ class Document:
                     raise CorpusFormatError(
                         f"statement references unmentioned concept {concept!r}"
                     )
+            edge = ex.edge
+            best = edges.get(edge)
+            if best is None or ex.confidence > best:
+                edges[edge] = ex.confidence
+        self.edges = edges
+        self.sorted_edges: tuple[Edge, ...] = tuple(sorted(edges))
 
     def mention_span(self, concept_id: str) -> tuple[int, int]:
         """(first, last) mention start offsets of a concept."""
@@ -138,42 +142,6 @@ class Document:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Document({self.doc_id!r}, {len(self.mentions)} mentions, {len(self.extractions)} statements)"
-
-
-class DocumentGraph:
-    """Directed, edge-labeled graph of one document's distinct statements."""
-
-    __slots__ = ("doc_id", "edges", "sorted_edges")
-
-    def __init__(self, doc_id: str, edges: Mapping[Edge, EdgeRecord]):
-        self.doc_id = doc_id
-        self.edges = dict(edges)
-        self.sorted_edges: tuple[Edge, ...] = tuple(sorted(self.edges))
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, edge: Edge) -> bool:
-        return edge in self.edges
-
-    def record(self, edge: Edge) -> EdgeRecord:
-        return self.edges[edge]
-
-
-def build_document_graph(doc: Document) -> DocumentGraph:
-    """Collapse a document's extractions into one edge per distinct triple.
-
-    The edge keeps the maximum confidence over its supporting extractions and
-    the number of extractions that support it.
-    """
-    grouped: dict[Edge, list[float]] = {}
-    for ex in doc.extractions:
-        grouped.setdefault(ex.edge, []).append(ex.confidence)
-    edges = {
-        edge: EdgeRecord(max_confidence=max(confs), support_count=len(confs))
-        for edge, confs in grouped.items()
-    }
-    return DocumentGraph(doc.doc_id, edges)
 
 
 @dataclass(frozen=True)
@@ -223,7 +191,7 @@ def concept_coverage(concept_id: str, doc: Document) -> float:
 
 
 class Corpus:
-    """Immutable collection of documents with graphs and statistics."""
+    """Immutable collection of documents, keyed by doc id, with statistics."""
 
     def __init__(self, documents: Iterable[Document]):
         self._documents: dict[str, Document] = {}
@@ -231,9 +199,6 @@ class Corpus:
             if doc.doc_id in self._documents:
                 raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
             self._documents[doc.doc_id] = doc
-        self._graphs = {
-            doc_id: build_document_graph(doc) for doc_id, doc in self._documents.items()
-        }
         self.stats = CorpusStats.from_documents(self._documents.values())
 
     def __len__(self) -> int:
@@ -249,9 +214,6 @@ class Corpus:
 
     def document(self, doc_id: str) -> Document:
         return self._documents[doc_id]
-
-    def graph(self, doc_id: str) -> DocumentGraph:
-        return self._graphs[doc_id]
 
     def documents(self) -> Iterator[Document]:
         return iter(self._documents.values())

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .corpus import Corpus, DocumentGraph, Edge
+from .corpus import Corpus, Document, Edge
 from .query import DisjunctiveQuery, FactPattern, NarrativeQuery
 
 # Enumeration stops after this many distinct fragments for one document.
@@ -59,7 +59,7 @@ class FragmentList(list):
 
 
 class StatementIndex:
-    """Inverted indexes over all document graphs of a corpus.
+    """Inverted indexes over the edges and concepts of a corpus's documents.
 
     - pair: unordered {a, b} -> sorted (doc id, directed edge) entries, so
       each document edge is held once, under its two concepts
@@ -80,11 +80,12 @@ class StatementIndex:
 def build_statement_index(corpus: Corpus) -> StatementIndex:
     pair: dict[frozenset[str], list[tuple[str, Edge]]] = {}
     concept_docs: dict[str, set[str]] = {}
-    for doc_id in corpus.doc_ids:
-        for edge in corpus.graph(doc_id).sorted_edges:
+    for doc in corpus.documents():
+        doc_id = doc.doc_id
+        for edge in doc.sorted_edges:
             subject, _, obj = edge
             pair.setdefault(frozenset((subject, obj)), []).append((doc_id, edge))
-        for concept in corpus.document(doc_id).concept_counts:
+        for concept in doc.concept_counts:
             concept_docs.setdefault(concept, set()).add(doc_id)
     return StatementIndex(
         pair={key: tuple(sorted(entries)) for key, entries in pair.items()},
@@ -111,9 +112,9 @@ def _pattern_orientations(
 
 
 def matches(
-    query: NarrativeQuery, graph: DocumentGraph, cap: int | None = FRAGMENT_CAP
+    query: NarrativeQuery, doc: Document, cap: int | None = FRAGMENT_CAP
 ) -> FragmentList:
-    """All distinct bindings of the query's patterns to the document graph.
+    """All distinct bindings of the query's patterns to the document's edges.
 
     Distinctness is by the bound edge tuple; concept sets shared by several
     patterns must bind to the same concept everywhere. Enumeration order is
@@ -127,7 +128,7 @@ def matches(
             return FragmentList()
         opts = [
             (edge, s_concept, o_concept)
-            for edge in graph.sorted_edges
+            for edge in doc.sorted_edges
             for s_concept, o_concept in _pattern_orientations(pattern, edge)
         ]
         if not opts:
@@ -152,7 +153,7 @@ def matches(
             seen.add(key)
             result.append(
                 Fragment(
-                    doc_id=graph.doc_id,
+                    doc_id=doc.doc_id,
                     edges=key,
                     node_bindings=tuple(sorted(bound.items())),
                 )
@@ -306,7 +307,7 @@ def retrieve(
         for doc_id in sorted(candidates):
             if not in_scope(doc_id):
                 continue
-            fragments = matches(alternative, corpus.graph(doc_id))
+            fragments = matches(alternative, corpus.document(doc_id))
             if fragments.truncated:
                 truncated.add(doc_id)
             if not fragments:

@@ -17,7 +17,6 @@ from .corpus import (
     Corpus,
     CorpusStats,
     Document,
-    DocumentGraph,
     Edge,
     concept_coverage,
     concept_idf,
@@ -140,14 +139,9 @@ class RankedDocument:
     best_fragment: Fragment | None
 
 
-def edge_confidence(edge: Edge, graph: DocumentGraph) -> float:
-    """Maximum confidence over the extractions supporting the edge."""
-    return graph.record(edge).max_confidence
-
-
-def fragment_confidence(fragment: Fragment, graph: DocumentGraph) -> float:
+def fragment_confidence(fragment: Fragment, doc: Document) -> float:
     """A fragment is only as confident as its weakest edge."""
-    return min(edge_confidence(edge, graph) for edge in fragment.edges)
+    return min(doc.edges[edge] for edge in fragment.edges)
 
 
 def edge_tfidf(
@@ -172,14 +166,14 @@ def fragment_coverage(fragment: Fragment, doc: Document) -> float:
     return min(concept_coverage(concept, doc) for concept in fragment.bound_concepts)
 
 
-def neighbor_edges(edge: Edge, graph: DocumentGraph) -> tuple[Edge, ...]:
+def neighbor_edges(edge: Edge, doc: Document) -> tuple[Edge, ...]:
     """Edges incident to the edge's subject or object, in either direction,
     excluding every edge whose endpoint set is exactly {subject, object}."""
     subject, _, obj = edge
     endpoint_set = {subject, obj}
     return tuple(
         other
-        for other in graph.sorted_edges
+        for other in doc.sorted_edges
         if {other[0], other[2]} != endpoint_set
         and (other[0] in endpoint_set or other[2] in endpoint_set)
     )
@@ -190,32 +184,24 @@ def edge_coverage(edge: Edge, doc: Document) -> float:
 
 
 def edge_score(
-    edge: Edge,
-    doc: Document,
-    graph: DocumentGraph,
-    stats: CorpusStats,
-    taxonomy: PredicateTaxonomy,
+    edge: Edge, doc: Document, stats: CorpusStats, taxonomy: PredicateTaxonomy
 ) -> float:
     """Mean of an edge's raw tf-idf, coverage, and confidence."""
     return (
         edge_tfidf(edge, doc, stats, taxonomy)
         + edge_coverage(edge, doc)
-        + edge_confidence(edge, graph)
+        + doc.edges[edge]
     ) / 3.0
 
 
 def relational_similarity(
-    fragment: Fragment,
-    doc: Document,
-    graph: DocumentGraph,
-    stats: CorpusStats,
-    taxonomy: PredicateTaxonomy,
+    fragment: Fragment, doc: Document, stats: CorpusStats, taxonomy: PredicateTaxonomy
 ) -> float:
     """Sum of neighbor edge scores over all edges of the fragment."""
     total = 0.0
     for edge in fragment.edges:
-        for neighbor in neighbor_edges(edge, graph):
-            total += edge_score(neighbor, doc, graph, stats, taxonomy)
+        for neighbor in neighbor_edges(edge, doc):
+            total += edge_score(neighbor, doc, stats, taxonomy)
     return total
 
 
@@ -226,12 +212,11 @@ def similarity_vector(
     taxonomy: PredicateTaxonomy,
 ) -> SimilarityVector:
     doc = corpus.document(fragment.doc_id)
-    graph = corpus.graph(fragment.doc_id)
     return SimilarityVector(
-        confidence=fragment_confidence(fragment, graph),
+        confidence=fragment_confidence(fragment, doc),
         min_tfidf=fragment_min_tfidf(fragment, doc, corpus.stats, taxonomy),
         coverage=fragment_coverage(fragment, doc),
-        relational=relational_similarity(fragment, doc, graph, corpus.stats, taxonomy),
+        relational=relational_similarity(fragment, doc, corpus.stats, taxonomy),
         translation=fragment_translation(fragment, query),
     )
 

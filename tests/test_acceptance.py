@@ -83,7 +83,7 @@ def test_criterion_1_matcher_oracle_equivalence():
         query = random_query(rng, concepts, max_patterns=3, max_set_size=3)
         alternative = query.alternatives[0]
         for doc_id in corpus.doc_ids:
-            graph = corpus.graph(doc_id)
+            graph = corpus.document(doc_id)
             got = matches(alternative, graph)
             assert not got.truncated
             expected = oracle_matches(alternative, graph.sorted_edges)
@@ -205,7 +205,7 @@ def test_criterion_3_graphrank_invariants(fix1_config):
         )
 
         for doc_id in corpus.doc_ids:
-            graph = corpus.graph(doc_id)
+            graph = corpus.document(doc_id)
             if len(graph.sorted_edges) < 2:
                 continue
             k = rng.randint(2, min(4, len(graph.sorted_edges)))

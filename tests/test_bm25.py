@@ -136,6 +136,12 @@ class TestRerank:
 
 
 class TestRetrieve:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, k):
+        index = build_text_index(token_corpus(HAND_DOCS))
+        with pytest.raises(InputError, match=f"cutoff must be >= 1, got {k}"):
+            bm25_retrieve("metformin", k, index)
+
     def test_k_larger_than_matches(self):
         index = build_text_index(token_corpus(HAND_DOCS))
         hits = bm25_retrieve("metformin", 10, index)

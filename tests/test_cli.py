@@ -143,6 +143,23 @@ def test_non_utf8_input_file_is_input_error(kind, fix1_index_dir, tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+@pytest.mark.parametrize("command", ["search", "evaluate"])
+def test_bm25_native_cutoff_below_one_exits_one(command, cutoff, fix1_index_dir, tmp_path, capsys):
+    argv = [command, *fix1_args(index_dir=fix1_index_dir), "--ranker", "bm25-native",
+            f"--cutoff={cutoff}"]
+    if command == "search":
+        argv += ["--keywords", "metformin | diabetes"]
+    else:
+        argv += ["--topics", str(FIXTURES / "fix1_topics.tsv"),
+                 "--qrels", str(FIXTURES / "fix1_qrels.txt"),
+                 "--out", str(tmp_path / "eval")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"docgraph: error: cutoff must be >= 1, got {cutoff}\n"
+    assert "hits" not in captured.out
+
+
 class TestSearchCommand:
     def test_triple_query_full_match(self, fix1_index_dir, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -1,9 +1,14 @@
 """Ranking configuration file parsing."""
 
+from pathlib import Path
+
 import pytest
 
+from docgraph.cli import main
 from docgraph.config import RankingConfig, load_config
 from docgraph.errors import ConfigFormatError
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def write(tmp_path, text):
@@ -63,3 +68,23 @@ class TestLoadConfig:
         path = write(tmp_path, "k1 = -1\n")
         with pytest.raises(ConfigFormatError):
             load_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_k1_rejected(self, tmp_path, capsys, value):
+        path = write(tmp_path, f"k1 = {value}\n")
+        with pytest.raises(ConfigFormatError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: k1 must be finite and positive, got {value}"
+        code = main(
+            [
+                "index",
+                "--corpus", str(FIXTURES / "fix1_corpus.jsonl"),
+                "--vocab", str(FIXTURES / "fix1_vocabulary.tsv"),
+                "--config", str(path),
+                "--out", str(tmp_path / "ix"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"docgraph: error: {path}: k1 must be finite")
+        assert "Traceback" not in err

@@ -1,8 +1,10 @@
-"""Corpus ingestion, document graphs, and concept statistics."""
+"""Corpus ingestion, document edges, and concept statistics."""
 
+import copy
 import json
 import math
 import random
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -13,12 +15,12 @@ from docgraph.corpus import (
     CorpusStats,
     Document,
     StatementExtraction,
-    build_document_graph,
     concept_coverage,
     concept_idf,
     concept_tf,
     document_to_record,
     ingest_documents,
+    parse_corpus,
     parse_document_record,
 )
 from docgraph.errors import AbsentConceptError, CorpusFormatError
@@ -193,21 +195,102 @@ class TestRecordValidation:
         assert str(info.value) == "corpus.jsonl:7: missing field 'end'"
 
 
+# Values of every JSON type, including the non-standard NaN/Infinity literals
+# that ``json`` reads and writes by default.
+_ODD_VALUES = (
+    None, True, False, 0, -1, 7, 2**70, 0.5, -0.0, 1.5,
+    float("nan"), float("inf"), float("-inf"), "", "A", "7", [], [1], {}, {"a": 1},
+)
+
+
+def _slots(value):
+    """Every (container, key) pair inside a decoded JSON value."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return []
+    slots = []
+    for key, child in items:
+        slots.append((value, key))
+        slots.extend(_slots(child))
+    return slots
+
+
+def _fuzz(rng, record):
+    """Apply one random mutation to a decoded record, in place."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        containers = [c for c, k in _slots(record) if isinstance(c, dict)] + [record]
+        container = rng.choice(containers)
+        if container:
+            del container[rng.choice(list(container))]
+    elif kind == 1:
+        container, key = rng.choice(_slots(record))
+        container[key] = copy.deepcopy(rng.choice(_ODD_VALUES))
+    elif kind == 2:
+        entries = rng.choice([record.get(k) for k in ("tokens", "mentions", "statements")])
+        if isinstance(entries, list) and entries:
+            entries.append(copy.deepcopy(rng.choice(entries)))
+    else:
+        numbers = [
+            (c, k) for c, k in _slots(record)
+            if k in ("text_length", "start", "end", "confidence", "sentence")
+        ]
+        if numbers:
+            container, key = rng.choice(numbers)
+            container[key] = rng.choice((float("nan"), float("inf"), float("-inf")))
+
+
+class TestRecordFuzz:
+    def test_mutated_records_parse_or_name_their_line(self):
+        rng = random.Random(20241219)
+        base = [
+            document_to_record(doc)
+            for doc in corpus_from_raw(random_raw_corpus(rng, max_docs=30)).documents()
+        ]
+        path = Path("fuzz.jsonl")
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in range(1500):
+            record = copy.deepcopy(rng.choice(base))
+            for _ in range(rng.randint(1, 2)):
+                _fuzz(rng, record)
+            lineno = rng.randint(1, 3)
+            text = "\n" * (lineno - 1) + json.dumps(record) + "\n"
+            try:
+                corpus = parse_corpus(text, path)
+            except CorpusFormatError as exc:
+                assert str(exc).startswith(f"{path}:{lineno}: "), str(exc)
+                outcomes["rejected"] += 1
+                continue
+            outcomes["parsed"] += 1
+            (doc,) = corpus.documents()
+            best = {}
+            for ex in doc.extractions:
+                best[ex.edge] = max(best.get(ex.edge, ex.confidence), ex.confidence)
+            assert doc.edges == best
+            assert doc.sorted_edges == tuple(sorted(best))
+            again = parse_document_record(document_to_record(doc))
+            assert again.edges == doc.edges
+            assert again.sorted_edges == doc.sorted_edges
+        assert min(outcomes.values()) > 200, outcomes
+
+
 class TestDocumentGraph:
+    """A document's graph: one edge per distinct triple, at its best confidence."""
+
     def test_max_confidence_and_support(self, fix1_corpus):
-        graph = fix1_corpus.graph("D-A")
-        record = graph.record(("M", "treats", "DM"))
-        assert record.max_confidence == 0.8
-        assert record.support_count == 2
+        # Two extractions state this edge.
+        assert fix1_corpus.document("D-A").edges[("M", "treats", "DM")] == 0.8
 
     def test_single_extraction_identity(self, fix1_corpus):
-        record = fix1_corpus.graph("D-A").record(("M", "associated", "H"))
-        assert record.max_confidence == 0.4
-        assert record.support_count == 1
+        assert fix1_corpus.document("D-A").edges[("M", "associated", "H")] == 0.4
 
     def test_no_extractions_empty_graph(self):
         doc = make_doc(mentions=[("A", 0, 2)])
-        assert len(build_document_graph(doc)) == 0
+        assert doc.edges == {}
+        assert doc.sorted_edges == ()
 
     def test_monotone_in_added_support(self):
         rng = random.Random(7)
@@ -217,16 +300,14 @@ class TestDocumentGraph:
                 mentions=[("A", 0, 2), ("B", 5, 8)],
                 statements=[("A", "treats", "B", c) for c in confs],
             )
-            record = build_document_graph(doc).record(("A", "treats", "B"))
-            assert record.max_confidence == max(confs)
-            assert record.support_count == len(confs)
+            confidence = doc.edges[("A", "treats", "B")]
+            assert confidence == max(confs)
             extra = round(rng.uniform(0, 1), 3)
             doc2 = make_doc(
                 mentions=[("A", 0, 2), ("B", 5, 8)],
                 statements=[("A", "treats", "B", c) for c in confs + [extra]],
             )
-            record2 = build_document_graph(doc2).record(("A", "treats", "B"))
-            assert record2.max_confidence >= record.max_confidence
+            assert doc2.edges[("A", "treats", "B")] >= confidence
 
 
 class TestConceptStats:
@@ -301,4 +382,4 @@ class TestProperties:
         assert a.doc_ids == b.doc_ids
         assert a.stats == b.stats
         for doc_id in a.doc_ids:
-            assert a.graph(doc_id).edges == b.graph(doc_id).edges
+            assert a.document(doc_id).edges == b.document(doc_id).edges

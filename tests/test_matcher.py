@@ -61,7 +61,7 @@ class TestStatementIndex:
         in_graphs = [
             (doc_id, edge)
             for doc_id in fix1_corpus.doc_ids
-            for edge in fix1_corpus.graph(doc_id).sorted_edges
+            for edge in fix1_corpus.document(doc_id).sorted_edges
         ]
         assert sorted(indexed) == sorted(in_graphs)
         assert all(list(entries) == sorted(entries) for entries in fix1_index.pair.values())
@@ -72,7 +72,7 @@ class TestMatches:
         m = concept_set("m", "M")
         dm = concept_set("dm", "DM")
         query = NarrativeQuery([FactPattern(m, PredicateSlot.of("treats"), dm)])
-        fragments = matches(query, fix1_corpus.graph("D-A"))
+        fragments = matches(query, fix1_corpus.document("D-A"))
         assert [f.edges for f in fragments] == [(("M", "treats", "DM"),)]
         assert fragments[0].node_map == {"m": "M", "dm": "DM"}
         assert not fragments.truncated
@@ -87,7 +87,7 @@ class TestMatches:
                 FactPattern(x, PredicateSlot.wildcard(), dm),
             ]
         )
-        fragments = matches(query, fix1_corpus.graph("D-A"))
+        fragments = matches(query, fix1_corpus.document("D-A"))
         assert [f.edges for f in fragments] == [
             (("M", "associated", "H"), ("H", "associated", "DM"))
         ]
@@ -96,13 +96,13 @@ class TestMatches:
         m = concept_set("m", "M")
         dm = concept_set("dm", "DM")
         query = NarrativeQuery([FactPattern(m, PredicateSlot.of("treats"), dm)])
-        assert list(matches(query, fix1_corpus.graph("D-B"))) == []
+        assert list(matches(query, fix1_corpus.document("D-B"))) == []
 
     def test_wildcard_matches_reverse_direction(self, fix1_corpus):
         dm = concept_set("dm", "DM")
         m = concept_set("m", "M")
         query = NarrativeQuery([FactPattern(dm, PredicateSlot.wildcard(), m)])
-        fragments = matches(query, fix1_corpus.graph("D-B"))
+        fragments = matches(query, fix1_corpus.document("D-B"))
         assert [f.edges for f in fragments] == [(("M", "associated", "DM"),)]
         assert fragments[0].node_map == {"dm": "DM", "m": "M"}
 
@@ -110,7 +110,7 @@ class TestMatches:
         dm = concept_set("dm", "DM")
         m = concept_set("m", "M")
         query = NarrativeQuery([FactPattern(dm, PredicateSlot.of("associated"), m)])
-        assert list(matches(query, fix1_corpus.graph("D-B"))) == []
+        assert list(matches(query, fix1_corpus.document("D-B"))) == []
 
     def test_fragment_cap_truncates(self):
         xs = [f"x{i}" for i in range(6)]
@@ -131,7 +131,7 @@ class TestMatches:
             concept_set("a2", *xs), PredicateSlot.of("treats"), concept_set("b2", *ys)
         )
         query = NarrativeQuery([p1, p2])
-        fragments = matches(query, corpus.graph("DOC"))
+        fragments = matches(query, corpus.document("DOC"))
         assert fragments.truncated
         assert len(fragments) == 1024
 
@@ -381,7 +381,7 @@ class TestOracleEquivalence:
             )
             result = retrieve(query, index, corpus, scope)
             doc_edges = {
-                doc_id: corpus.graph(doc_id).sorted_edges for doc_id in corpus.doc_ids
+                doc_id: corpus.document(doc_id).sorted_edges for doc_id in corpus.doc_ids
             }
             expected_full, expected_partial = oracle_retrieve(query, doc_edges, scope)
             assert set(result.full) == set(expected_full)
@@ -401,7 +401,7 @@ class TestOracleEquivalence:
             query = random_query(rng, concepts)
             alternative = query.alternatives[0]
             for doc_id in corpus.doc_ids:
-                graph = corpus.graph(doc_id)
+                graph = corpus.document(doc_id)
                 got = matches(alternative, graph)
                 assert not got.truncated
                 expected = oracle_matches(alternative, graph.sorted_edges)

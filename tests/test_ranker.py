@@ -86,11 +86,11 @@ class TestTaxonomyAndWeights:
 class TestFragmentSimilarities:
     def test_confidence_single_edge(self, fix1_corpus):
         fragment = self_bound("D-A", ("M", "treats", "DM"))
-        assert fragment_confidence(fragment, fix1_corpus.graph("D-A")) == 0.8
+        assert fragment_confidence(fragment, fix1_corpus.document("D-A")) == 0.8
 
     def test_confidence_weakest_edge(self, fix1_corpus):
         fragment = self_bound("D-A", ("M", "associated", "H"), ("H", "associated", "DM"))
-        assert fragment_confidence(fragment, fix1_corpus.graph("D-A")) == 0.4
+        assert fragment_confidence(fragment, fix1_corpus.document("D-A")) == 0.4
 
     def test_edge_tfidf_values(self, fix1_corpus, taxonomy):
         doc = fix1_corpus.document("D-A")
@@ -118,7 +118,7 @@ class TestFragmentSimilarities:
         assert fragment_coverage(with_h, doc) == 0.0
 
     def test_neighbor_edges(self, fix1_corpus):
-        graph = fix1_corpus.graph("D-A")
+        graph = fix1_corpus.document("D-A")
         neighbors = neighbor_edges(("M", "treats", "DM"), graph)
         assert set(neighbors) == {("M", "associated", "H"), ("H", "associated", "DM")}
 
@@ -132,7 +132,7 @@ class TestFragmentSimilarities:
             }
         }
         corpus = corpus_from_raw(raw)
-        neighbors = neighbor_edges(("M", "treats", "DM"), corpus.graph("X"))
+        neighbors = neighbor_edges(("M", "treats", "DM"), corpus.document("X"))
         assert neighbors == ()
 
     def test_no_neighbors_zero_relational(self, fix1_corpus, taxonomy):
@@ -140,7 +140,6 @@ class TestFragmentSimilarities:
         value = relational_similarity(
             fragment,
             fix1_corpus.document("D-B"),
-            fix1_corpus.graph("D-B"),
             fix1_corpus.stats,
             taxonomy,
         )
@@ -151,7 +150,6 @@ class TestFragmentSimilarities:
         value = relational_similarity(
             fragment,
             fix1_corpus.document("D-A"),
-            fix1_corpus.graph("D-A"),
             fix1_corpus.stats,
             taxonomy,
         )
@@ -176,7 +174,7 @@ class TestFragmentSimilarities:
             corpus = corpus_from_raw(raw)
             fragment = self_bound("X", ("A", "treats", "B"))
             return relational_similarity(
-                fragment, corpus.document("X"), corpus.graph("X"), corpus.stats, taxonomy
+                fragment, corpus.document("X"), corpus.stats, taxonomy
             )
 
         assert build(0.8) > build(0.4)
@@ -268,7 +266,7 @@ class TestMinSemantics:
             raw = random_raw_corpus(rng, max_docs=6, max_concepts=8, max_edges=12)
             corpus = corpus_from_raw(raw)
             for doc_id in corpus.doc_ids:
-                graph = corpus.graph(doc_id)
+                graph = corpus.document(doc_id)
                 if len(graph.sorted_edges) < 2:
                     continue
                 k = rng.randint(2, min(4, len(graph.sorted_edges)))
@@ -295,7 +293,7 @@ class TestMinSemantics:
                 }
             }
             corpus = corpus_from_raw(raw)
-            return fragment_confidence(self_bound("X", ("A", "treats", "B")), corpus.graph("X"))
+            return fragment_confidence(self_bound("X", ("A", "treats", "B")), corpus.document("X"))
 
         assert conf_component(0.9) >= conf_component(0.5) >= conf_component(0.31)
 
