@@ -408,6 +408,9 @@ def main(argv=None) -> int:
     try:
         if args.func is cmd_index:
             return cmd_index(args)
+        # Checked once, before any work, so a run that ranks no topic still fails.
+        if args.cutoff < 1:
+            raise InputError(f"cutoff must be >= 1, got {args.cutoff}")
         with paused_gc():
             ctx = _load_context(args)
             # The context lives until the command returns; freezing it keeps later

@@ -5,7 +5,8 @@ Documents arrive pre-annotated: concept mentions with character offsets and
 The upstream NLP pipeline that produces these annotations is not part of this
 package. Each :class:`Document` is its own graph: one edge per distinct
 statement. After construction a :class:`Corpus` and everything hanging off it
-(documents, stats) is immutable and safe for concurrent readers.
+(documents, stats) is immutable and safe for concurrent readers; only its
+ranking cache fills lazily, with values that do not depend on who fills them.
 """
 
 from __future__ import annotations
@@ -191,7 +192,13 @@ def concept_coverage(concept_id: str, doc: Document) -> float:
 
 
 class Corpus:
-    """Immutable collection of documents, keyed by doc id, with statistics."""
+    """Immutable collection of documents, keyed by doc id, with statistics.
+
+    ``ranking_cache`` is the one lazily filled part: GraphRank's per-edge rows
+    as ``(taxonomy, {doc_id: {edge: row}})`` for one taxonomy at a time, filled
+    by ``ranker`` on first read and dropped with the corpus. Concurrent fills
+    write identical values.
+    """
 
     def __init__(self, documents: Iterable[Document]):
         self._documents: dict[str, Document] = {}
@@ -200,6 +207,7 @@ class Corpus:
                 raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
             self._documents[doc.doc_id] = doc
         self.stats = CorpusStats.from_documents(self._documents.values())
+        self.ranking_cache: tuple[object, dict[str, dict[Edge, tuple]]] = (None, {})
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -335,10 +343,12 @@ def paused_gc():
 def parse_corpus(text: str, path: Path) -> Corpus:
     """Build a Corpus from the text of a line-delimited JSON corpus file.
 
-    The first malformed record aborts with ``path`` and its line number.
+    The first malformed record, or the second record of a doc id, aborts
+    with ``path`` and its line number.
     """
     with paused_gc():
         documents = []
+        first_lines: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -347,7 +357,13 @@ def parse_corpus(text: str, path: Path) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-            documents.append(parse_document_record(record, where))
+            doc = parse_document_record(record, where)
+            first = first_lines.setdefault(doc.doc_id, lineno)
+            if first != lineno:
+                raise CorpusFormatError(
+                    f"{where}: duplicate doc_id {doc.doc_id!r} (first on line {first})"
+                )
+            documents.append(doc)
         return Corpus(documents)
 
 

@@ -6,12 +6,19 @@ definition is min-shaped. Raw values are normalized by their maximum over the
 candidate set being ranked, weighted, and scaled by the fragment's translation
 score; a document scores as its best fragment. Full matches always precede
 partial matches in the assembled list.
+
+Everything but the translation score depends only on the document. So each
+(document, edge) pair's confidence, tf-idf and neighbour edge scores are
+computed once, the first time a fragment reads them, into an edge row kept in
+``Corpus.ranking_cache`` for one taxonomy at a time. This is the one lazily
+filled part of a corpus; concurrent fills of a row write identical values.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Corpus,
@@ -105,8 +112,7 @@ class Weights:
         return (self.confidence, self.min_tfidf, self.coverage, self.relational)
 
 
-@dataclass(frozen=True)
-class SimilarityVector:
+class SimilarityVector(NamedTuple):
     """Raw (pre-normalization) similarities plus the translation score."""
 
     confidence: float
@@ -116,7 +122,7 @@ class SimilarityVector:
     translation: float
 
     def components(self) -> tuple[float, float, float, float]:
-        return (self.confidence, self.min_tfidf, self.coverage, self.relational)
+        return self[:4]
 
 
 @dataclass(frozen=True)
@@ -205,19 +211,71 @@ def relational_similarity(
     return total
 
 
+# One document edge's query-independent inputs: its confidence, its tf-idf,
+# and its neighbours' edge scores in neighbor_edges order. The scores are an
+# array of the same doubles, so the cache holds no float object per score.
+EdgeRow = tuple[float, float, array]
+
+
+def _edge_rows(
+    fragment: Fragment, doc: Document, corpus: Corpus, taxonomy: PredicateTaxonomy
+) -> list[EdgeRow]:
+    """The fragment's edge rows, each built once per (corpus, taxonomy).
+
+    A different taxonomy object replaces the whole cache. Missing rows get
+    every tf-idf before any neighbour score, the order in which the component
+    functions meet them, so an unknown predicate raises the same error.
+    """
+    owner, tables = corpus.ranking_cache
+    if owner is not taxonomy:
+        tables = {}
+        corpus.ranking_cache = (taxonomy, tables)
+    table = tables.get(doc.doc_id)
+    if table is None:
+        table = tables[doc.doc_id] = {}
+    try:
+        return [table[edge] for edge in fragment.edges]
+    except KeyError:
+        pass
+    stats = corpus.stats
+    missing = [edge for edge in fragment.edges if edge not in table]
+    tfidfs = [edge_tfidf(edge, doc, stats, taxonomy) for edge in missing]
+    for edge, tfidf in zip(missing, tfidfs):
+        scores = [edge_score(n, doc, stats, taxonomy) for n in neighbor_edges(edge, doc)]
+        table[edge] = (doc.edges[edge], tfidf, array("d", scores))
+    return [table[edge] for edge in fragment.edges]
+
+
 def similarity_vector(
     fragment: Fragment,
     query: DisjunctiveQuery,
     corpus: Corpus,
     taxonomy: PredicateTaxonomy,
 ) -> SimilarityVector:
+    """The fragment's raw similarities, read from its edge rows.
+
+    Each equals its component function (``fragment_confidence``,
+    ``fragment_min_tfidf``, ``fragment_coverage``, ``relational_similarity``)
+    bit for bit: the relational total adds one neighbour score at a time.
+    """
     doc = corpus.document(fragment.doc_id)
+    rows = _edge_rows(fragment, doc, corpus, taxonomy)
+    confidence, min_tfidf, _ = rows[0]
+    relational = 0.0
+    for row_confidence, row_tfidf, neighbor_scores in rows:
+        # One pass for both minima; like min(), it keeps the first smallest.
+        if row_confidence < confidence:
+            confidence = row_confidence
+        if row_tfidf < min_tfidf:
+            min_tfidf = row_tfidf
+        for score in neighbor_scores:
+            relational += score
     return SimilarityVector(
-        confidence=fragment_confidence(fragment, doc),
-        min_tfidf=fragment_min_tfidf(fragment, doc, corpus.stats, taxonomy),
-        coverage=fragment_coverage(fragment, doc),
-        relational=relational_similarity(fragment, doc, corpus.stats, taxonomy),
-        translation=fragment_translation(fragment, query),
+        confidence,
+        min_tfidf,
+        fragment_coverage(fragment, doc),
+        relational,
+        fragment_translation(fragment, query),
     )
 
 
@@ -231,14 +289,13 @@ def normalize_and_combine(
     """
     if not vectors:
         return []
-    maxima = [
-        max(vector.components()[i] for vector in vectors) for i in range(4)
-    ]
+    maxima = [max(vector[i] for vector in vectors) for i in range(4)]
     weight_values = weights.as_tuple()
     scores = []
     for vector in vectors:
         combined = 0.0
-        for component, maximum, weight in zip(vector.components(), maxima, weight_values):
+        # zip stops after the four components, before the translation score.
+        for component, maximum, weight in zip(vector, maxima, weight_values):
             if maximum > 0.0:
                 combined += weight * (component / maximum)
         scores.append(vector.translation * combined)

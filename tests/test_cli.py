@@ -160,6 +160,50 @@ def test_bm25_native_cutoff_below_one_exits_one(command, cutoff, fix1_index_dir,
     assert "hits" not in captured.out
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_evaluate_cutoff_below_one_exits_one_when_nothing_is_ranked(
+    cutoff, fix1_index_dir, tmp_path, capsys
+):
+    # The one topic matches no concept, so no topic reaches ranking.
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("T9\tkeyword\tunheard-of-term\n")
+    out = tmp_path / "eval"
+    argv = ["evaluate", *fix1_args(index_dir=fix1_index_dir), f"--cutoff={cutoff}",
+            "--topics", str(topics), "--qrels", str(FIXTURES / "fix1_qrels.txt"),
+            "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"docgraph: error: cutoff must be >= 1, got {cutoff}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["search", "evaluate"])
+def test_cutoff_below_one_checked_before_loading(command, tmp_path, capsys):
+    argv = [command, *fix1_args(index_dir=tmp_path / "no-index"), "--cutoff=0"]
+    if command == "search":
+        argv += ["--keywords", "metformin | diabetes"]
+    else:
+        argv += ["--topics", str(FIXTURES / "fix1_topics.tsv"),
+                 "--qrels", str(FIXTURES / "fix1_qrels.txt"),
+                 "--out", str(tmp_path / "eval")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "docgraph: error: cutoff must be >= 1, got 0\n"
+
+
+def test_duplicate_doc_id_names_file_and_lines(tmp_path, capsys):
+    first = (FIXTURES / "fix1_corpus.jsonl").read_text().splitlines()[0]
+    corpus = tmp_path / "dup.jsonl"
+    corpus.write_text(f"{first}\n{first}\n")
+    out = tmp_path / "ix"
+    argv = ["index", "--corpus", str(corpus),
+            "--vocab", str(FIXTURES / "fix1_vocabulary.tsv"), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"docgraph: error: {corpus}:2: duplicate doc_id 'D-A' (first on line 1)\n"
+    assert not out.exists()
+
+
 class TestSearchCommand:
     def test_triple_query_full_match(self, fix1_index_dir, tmp_path, capsys):
         out = tmp_path / "runs"

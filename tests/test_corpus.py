@@ -87,6 +87,13 @@ class TestIngestion:
         with pytest.raises(CorpusFormatError, match="duplicate"):
             Corpus([doc, make_doc(mentions=[("A", 0, 2)])])
 
+    def test_duplicate_doc_id_names_both_lines(self, fixtures_dir):
+        first = (fixtures_dir / "fix1_corpus.jsonl").read_text().splitlines()[0]
+        path = Path("dup.jsonl")
+        with pytest.raises(CorpusFormatError) as excinfo:
+            parse_corpus(f"{first}\n\n{first}\n", path)
+        assert str(excinfo.value) == f"{path}:3: duplicate doc_id 'D-A' (first on line 1)"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="cannot read"):
             ingest_documents(tmp_path / "nope.jsonl")

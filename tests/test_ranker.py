@@ -30,6 +30,7 @@ from docgraph.ranker import (
     neighbor_edges,
     normalize_and_combine,
     relational_similarity,
+    similarity_vector,
 )
 
 from oracles import reference_class_scores, reference_containment_scores
@@ -567,3 +568,133 @@ class TestAssembleFinalRanking:
             partial_ranks = [r.rank for r in ranked if r.match_class == "partial"]
             if full_ranks and partial_ranks:
                 assert max(full_ranks) < min(partial_ranks)
+
+
+def self_query(concepts):
+    """A query whose node ids are the concepts, as in ``self_bound`` fragments."""
+    nodes = [concept_set(c, c) for c in concepts]
+    pattern = FactPattern(nodes[0], PredicateSlot.wildcard(), nodes[1])
+    return DisjunctiveQuery(nodes, (NarrativeQuery([pattern]),), text="q")
+
+
+class TestEdgeRows:
+    """similarity_vector reads cached (document, edge) rows, bit for bit."""
+
+    @staticmethod
+    def component_vector(fragment, query, corpus, taxonomy):
+        doc = corpus.document(fragment.doc_id)
+        return (
+            fragment_confidence(fragment, doc),
+            fragment_min_tfidf(fragment, doc, corpus.stats, taxonomy),
+            fragment_coverage(fragment, doc),
+            relational_similarity(fragment, doc, corpus.stats, taxonomy),
+            fragment_translation(fragment, query),
+        )
+
+    @staticmethod
+    def cached_rows(corpus):
+        return sum(len(table) for table in corpus.ranking_cache[1].values())
+
+    def test_cold_and_warm_vectors_equal_component_functions(self, taxonomy):
+        rng = random.Random(89)
+        multi_edge = 0
+        for _ in range(30):
+            raw = random_raw_corpus(rng, max_docs=10, max_concepts=7, max_edges=12)
+            corpus = corpus_from_raw(raw)
+            concepts = sorted({c for d in raw.values() for c in d["mentions"]})
+            if len(concepts) < 2:
+                continue
+            query = random_query(rng, concepts, n_alternatives=rng.randint(1, 2))
+            result = retrieve(query, build_statement_index(corpus), corpus)
+            cases = [
+                (fragment, query)
+                for fragments in (*result.full.values(), *result.partial.values())
+                for fragment in fragments
+            ]
+            by_concept = self_query(concepts)
+            for doc in corpus.documents():
+                if len(doc.sorted_edges) >= 2:
+                    k = rng.randint(2, min(4, len(doc.sorted_edges)))
+                    edges = rng.sample(doc.sorted_edges, k)
+                    cases.append((self_bound(doc.doc_id, *edges), by_concept))
+            rng.shuffle(cases)
+            assert corpus.ranking_cache == (None, {})
+            expected = [self.component_vector(f, q, corpus, taxonomy) for f, q in cases]
+            cold = [similarity_vector(f, q, corpus, taxonomy) for f, q in cases]
+            filled = self.cached_rows(corpus)
+            warm = [similarity_vector(f, q, corpus, taxonomy) for f, q in cases]
+            assert self.cached_rows(corpus) == filled
+            for (fragment, _), want, got_cold, got_warm in zip(cases, expected, cold, warm):
+                assert tuple(got_cold) == want, fragment
+                assert tuple(got_warm) == want, fragment
+                assert got_cold.components() == want[:4]
+                multi_edge += len(fragment.edges) >= 2
+        assert multi_edge > 100
+
+    @staticmethod
+    def single_doc(statements):
+        return corpus_from_raw(
+            {
+                "X": {
+                    "length": 80,
+                    "mentions": {c: [10 * i] for i, c in enumerate("ABCDEF")},
+                    "statements": statements,
+                    "tokens": [],
+                },
+                # Gives the concepts of X a positive idf.
+                "Y": {"length": 20, "mentions": {"F": [0]}, "statements": [], "tokens": []},
+            }
+        )
+
+    def test_unknown_predicate_off_the_fragment_still_ranks(self, taxonomy):
+        corpus = self.single_doc(
+            [("A", "treats", "B", 0.9), ("B", "associated", "C", 0.5), ("D", "mystery", "E", 0.7)]
+        )
+        query = self_query("ABCDEF")
+        fragment = self_bound("X", ("A", "treats", "B"))
+        vector = similarity_vector(fragment, query, corpus, taxonomy)
+        assert tuple(vector) == self.component_vector(fragment, query, corpus, taxonomy)
+        scored = graph_rank(query, {"X": [fragment]}, corpus, taxonomy, Weights())
+        assert [s.doc_id for s in scored] == ["X"]
+
+    def test_unknown_neighbor_predicate_raises_and_caches_nothing(self, taxonomy):
+        corpus = self.single_doc([("A", "treats", "B", 0.9), ("B", "mystery", "C", 0.5)])
+        fragment = self_bound("X", ("A", "treats", "B"))
+        for _ in range(2):
+            with pytest.raises(MissingSpecificityError, match="'mystery'"):
+                similarity_vector(fragment, self_query("ABCDEF"), corpus, taxonomy)
+        assert self.cached_rows(corpus) == 0
+
+    def test_fragment_tfidf_error_comes_before_neighbor_error(self, taxonomy):
+        # fragment_min_tfidf meets the second edge's predicate before
+        # relational_similarity meets the first edge's neighbour.
+        corpus = self.single_doc(
+            [("A", "treats", "B", 0.9), ("B", "mystery1", "C", 0.5), ("D", "mystery2", "E", 0.4)]
+        )
+        fragment = self_bound("X", ("A", "treats", "B"), ("D", "mystery2", "E"))
+        with pytest.raises(MissingSpecificityError, match="'mystery2'"):
+            similarity_vector(fragment, self_query("ABCDEF"), corpus, taxonomy)
+
+    def test_new_taxonomy_replaces_the_cache(self, taxonomy):
+        corpus = self.single_doc(
+            [("A", "treats", "B", 0.9), ("B", "interacts", "C", 0.5), ("D", "treats", "E", 0.4)]
+        )
+        query = self_query("ABCDEF")
+        first = self_bound("X", ("A", "treats", "B"))
+        other = self_bound("X", ("D", "treats", "E"))
+        similarity_vector(first, query, corpus, taxonomy)
+        similarity_vector(other, query, corpus, taxonomy)
+        assert corpus.ranking_cache[0] is taxonomy
+        assert set(corpus.ranking_cache[1]["X"]) == {("A", "treats", "B"), ("D", "treats", "E")}
+
+        generic = PredicateTaxonomy.from_levels({"treats": 2, "interacts": 3})
+        vector = similarity_vector(first, query, corpus, generic)
+        owner, tables = corpus.ranking_cache
+        assert owner is generic
+        assert {doc_id: list(table) for doc_id, table in tables.items()} == {
+            "X": [("A", "treats", "B")]
+        }
+        assert tuple(vector) == self.component_vector(first, query, corpus, generic)
+        assert vector != similarity_vector(first, query, corpus, taxonomy)
+        assert corpus.ranking_cache[0] is taxonomy
+        assert self.cached_rows(corpus) == 1
