@@ -77,28 +77,19 @@ def _load_context(args) -> _Context:
     return _Context(loaded, vocabulary, ontology, config, _load_scope(args.scope))
 
 
-def _mode_tag(match_mode: str, expand: bool, ranker: str) -> str:
+def _mode_label(match_mode: str, expand: bool, ranker: str) -> tuple[str, str]:
+    """The run tag and the display name of one (match mode, ranker) pair."""
     if ranker == "bm25-native":
-        return "bm25-native"
-    parts = [match_mode]
-    if expand:
-        parts.append("ontology")
-    if ranker != "none":
-        parts.append(ranker)
-    return "-".join(parts)
-
-
-def _mode_name(match_mode: str, expand: bool, ranker: str) -> str:
-    if ranker == "bm25-native":
-        return "Native BM25 (Baseline)"
+        return "bm25-native", "Native BM25 (Baseline)"
+    tag = [match_mode]
     name = "Full Match" if match_mode == "full" else "Partial Match"
     if expand:
+        tag.append("ontology")
         name += " + Ontology"
-    if ranker == "graphrank":
-        name += " + GraphRank"
-    elif ranker == "bm25-rerank":
-        name += " + BM25"
-    return name
+    if ranker != "none":
+        tag.append(ranker)
+        name += " + GraphRank" if ranker == "graphrank" else " + BM25"
+    return "-".join(tag), name
 
 
 def _rank_class(
@@ -134,23 +125,44 @@ def _rank_class(
     ]
 
 
-def _rank_native(
-    query: DisjunctiveQuery, ctx: _Context, cutoff: int
-) -> list[RankedDocument]:
-    hits = bm25_retrieve(
-        query.text, cutoff, ctx.loaded.text_index, ctx.config.bm25, ctx.scope
-    )
-    return [
-        RankedDocument(
-            rank=i + 1,
-            doc_id=doc_id,
-            run_score=score,
-            model_score=score,
-            match_class="native",
-            best_fragment=None,
+def rank_query(
+    query: DisjunctiveQuery,
+    ctx: _Context,
+    match_modes: list[str],
+    rankers: list[str],
+    cutoff: int,
+) -> dict[tuple[str, str], list[RankedDocument]]:
+    """Rank one query in every (match mode, ranker) pair asked for.
+
+    Retrieval runs once. Each ranker scores the full class once, and the
+    partial class once only if a partial mode is asked for; every match mode
+    assembles from those lists. Native BM25 has no match mode and is keyed
+    ``("-", "bm25-native")``.
+    """
+    rankings: dict[tuple[str, str], list[RankedDocument]] = {}
+    graph_rankers = [ranker for ranker in rankers if ranker != "bm25-native"]
+    if graph_rankers:
+        result = retrieve(query, ctx.loaded.statement_index, ctx.loaded.corpus, ctx.scope)
+        for ranker in graph_rankers:
+            full = _rank_class(query, result.full, ctx, "full", ranker)
+            partial = (
+                _rank_class(query, result.partial, ctx, "partial", ranker)
+                if "partial" in match_modes
+                else []
+            )
+            for match_mode in match_modes:
+                rankings[(match_mode, ranker)] = assemble_final_ranking(
+                    full, partial if match_mode == "partial" else [], cutoff=cutoff
+                )
+    if "bm25-native" in rankers:
+        hits = bm25_retrieve(
+            query.text, cutoff, ctx.loaded.text_index, ctx.config.bm25, ctx.scope
         )
-        for i, (doc_id, score) in enumerate(hits)
-    ]
+        rankings[("-", "bm25-native")] = [
+            RankedDocument(i + 1, doc_id, score, score, "native", best_fragment=None)
+            for i, (doc_id, score) in enumerate(hits)
+        ]
+    return rankings
 
 
 def cmd_index(args) -> int:
@@ -197,19 +209,8 @@ def cmd_search(args, ctx: _Context) -> int:
     if args.expand_ontology:
         query = expand_query_upwards(query, ctx.ontology)
 
-    if args.ranker == "bm25-native":
-        ranked = _rank_native(query, ctx, args.cutoff)
-    else:
-        result = retrieve(query, ctx.loaded.statement_index, ctx.loaded.corpus, ctx.scope)
-        full = _rank_class(query, result.full, ctx, "full", args.ranker)
-        partial = (
-            _rank_class(query, result.partial, ctx, "partial", args.ranker)
-            if args.match == "partial"
-            else []
-        )
-        ranked = assemble_final_ranking(full, partial, cutoff=args.cutoff)
-
-    tag = args.tag or _mode_tag(args.match, args.expand_ontology, args.ranker)
+    (ranked,) = rank_query(query, ctx, [args.match], [args.ranker], args.cutoff).values()
+    tag = args.tag or _mode_label(args.match, args.expand_ontology, args.ranker)[0]
     print(f"# {len(ranked)} hits (translation score {query_translation_score(query):.4f})")
     for entry in ranked:
         line = f"{entry.rank:4d}. {entry.doc_id}  score={entry.model_score:.6f}  [{entry.match_class}]"
@@ -236,8 +237,8 @@ def cmd_evaluate(args, ctx: _Context) -> int:
 
     match_modes = list(dict.fromkeys(args.match or ["full", "partial"]))
     rankers = list(dict.fromkeys(args.ranker or ["graphrank"]))
-    graph_rankers = [ranker for ranker in rankers if ranker != "bm25-native"]
     expand = args.expand_ontology
+    graph_rankers = [ranker for ranker in rankers if ranker != "bm25-native"]
     modes = [(match_mode, ranker) for match_mode in match_modes for ranker in graph_rankers]
     if "bm25-native" in rankers:
         modes.append(("-", "bm25-native"))
@@ -250,28 +251,10 @@ def cmd_evaluate(args, ctx: _Context) -> int:
         translation = query_translation_score(query)
         if expand:
             query = expand_query_upwards(query, ctx.ontology)
-        result = (
-            retrieve(query, ctx.loaded.statement_index, ctx.loaded.corpus, ctx.scope)
-            if graph_rankers
-            else None
-        )
-        rankings = {}
-        for ranker in graph_rankers:
-            # Each class is ranked once; every match mode assembles from the same lists.
-            full = _rank_class(query, result.full, ctx, "full", ranker)
-            partial = (
-                _rank_class(query, result.partial, ctx, "partial", ranker)
-                if "partial" in match_modes
-                else []
-            )
-            for match_mode in match_modes:
-                ranked = assemble_final_ranking(
-                    full, partial if match_mode == "partial" else [], cutoff=args.cutoff
-                )
-                rankings[(match_mode, ranker)] = [(e.doc_id, e.run_score) for e in ranked]
-        if "bm25-native" in rankers:
-            ranked = _rank_native(query, ctx, args.cutoff)
-            rankings[("-", "bm25-native")] = [(e.doc_id, e.run_score) for e in ranked]
+        ranked = rank_query(query, ctx, match_modes, rankers, args.cutoff)
+        rankings = {
+            mode: [(e.doc_id, e.run_score) for e in entries] for mode, entries in ranked.items()
+        }
         return topic.topic_id, translation, rankings, None
 
     outcomes = [process(topic) for topic in topics]
@@ -286,10 +269,9 @@ def cmd_evaluate(args, ctx: _Context) -> int:
     }
 
     reports: dict[str, MetricReport] = {}
-    mode_names: dict[str, str] = {}
     payload: dict = {"modes": {}}
     for match_mode, ranker in modes:
-        tag = _mode_tag(match_mode, expand, ranker)
+        tag, name = _mode_label(match_mode, expand, ranker)
         run = Run(tag)
         for topic_id, _, rankings, reason in outcomes:
             if reason is not None:
@@ -298,9 +280,8 @@ def cmd_evaluate(args, ctx: _Context) -> int:
         run.write(out_dir / f"run-{tag}.txt")
         report = evaluate(run, qrels, excluded=excluded)
         reports[tag] = report
-        mode_names[tag] = _mode_name(match_mode, expand, ranker)
         payload["modes"][tag] = {
-            "name": mode_names[tag],
+            "name": name,
             "means": report.means,
             "per_topic": {
                 topic_id: {
@@ -330,7 +311,7 @@ def cmd_evaluate(args, ctx: _Context) -> int:
     header = ["Mode".ljust(42)] + [labels[key].rjust(12) for key in METRIC_KEYS]
     print("".join(header))
     for tag, report in reports.items():
-        cells = [mode_names[tag].ljust(42)]
+        cells = [payload["modes"][tag]["name"].ljust(42)]
         for key in METRIC_KEYS:
             value = report.means.get(key)
             cells.append(("-" if value is None else f"{value:.4f}").rjust(12))

@@ -82,6 +82,9 @@ class Document:
     ):
         if not isinstance(doc_id, str) or not doc_id:
             raise CorpusFormatError("doc_id must be a non-empty string")
+        if doc_id.split() != [doc_id]:
+            # A run file line is split on whitespace, so such an id could not be read back.
+            raise CorpusFormatError(f"doc_id {doc_id!r} contains whitespace")
         if not isinstance(text_length, int) or isinstance(text_length, bool) or text_length <= 0:
             raise CorpusFormatError(f"text_length must be a positive integer, got {text_length!r}")
         self.doc_id = doc_id

@@ -225,10 +225,6 @@ class MetricReport:
     skipped_topics: tuple[str, ...] = ()
     excluded_topics: tuple[tuple[str, str], ...] = ()
 
-    @property
-    def warning_count(self) -> int:
-        return len(self.skipped_topics) + len(self.excluded_topics)
-
 
 def evaluate(
     run: Run,

@@ -38,10 +38,6 @@ class Fragment:
     node_bindings: tuple[tuple[str, str], ...]
 
     @property
-    def node_map(self) -> dict[str, str]:
-        return dict(self.node_bindings)
-
-    @property
     def bound_concepts(self) -> tuple[str, ...]:
         """Distinct bound concept ids, in node-binding order."""
         return tuple(dict.fromkeys(concept for _, concept in self.node_bindings))

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import OntologyFormatError, read_input_text
-from .query import ConceptSet, DisjunctiveQuery, ExpandedConcept
+from .query import ConceptSet, DisjunctiveQuery, ExpandedConcept, with_derived_concepts
 
 
 class Ontology:
@@ -60,26 +60,24 @@ class Ontology:
 
     def subclasses(self, concept_id: str) -> frozenset[str]:
         """All direct and transitive subclasses, excluding the concept."""
-        seen: set[str] = set()
-        frontier = deque(self._children.get(concept_id, ()))
-        while frontier:
-            node = frontier.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(self._children.get(node, ()))
-        return frozenset(seen)
+        return frozenset(self._hops(concept_id, self._children))
 
     def ancestor_distances(self, concept_id: str) -> dict[str, int]:
         """Shortest upward hop count to every ancestor of the concept."""
+        return self._hops(concept_id, self._parents)
+
+    @staticmethod
+    def _hops(concept_id: str, links: dict[str, frozenset[str]]) -> dict[str, int]:
+        """Breadth-first hop count to every node reachable along ``links``,
+        neighbours visited in sorted order."""
         distances: dict[str, int] = {}
-        frontier = deque((parent, 1) for parent in sorted(self._parents.get(concept_id, ())))
+        frontier = deque((node, 1) for node in sorted(links.get(concept_id, ())))
         while frontier:
             node, hops = frontier.popleft()
             if node in distances:
                 continue
             distances[node] = hops
-            frontier.extend((parent, hops + 1) for parent in sorted(self._parents.get(node, ())))
+            frontier.extend((nxt, hops + 1) for nxt in sorted(links.get(node, ())))
         return distances
 
     def ontological_sim(self, a: str, b: str) -> float:
@@ -113,19 +111,19 @@ def load_ontology(source: str | Path) -> Ontology:
 def expand_concept_set_upwards(concept_set: ConceptSet, ontology: Ontology) -> ConceptSet:
     """Add each concept's superclasses, discounted by ontological similarity.
 
-    A superclass reachable from several sources keeps its maximum score;
+    A superclass ``hops`` steps up scores ``1 / (hops + 1)`` times its source's
+    score; one reachable from several sources keeps its maximum score, and
     existing alternatives are never lowered.
     """
-    entries = {e.concept_id: e for e in concept_set.entries()}
-    for source in concept_set.entries():
-        for ancestor in sorted(ontology.ancestor_distances(source.concept_id)):
-            score = ontology.ontological_sim(source.concept_id, ancestor) * source.score
-            current = entries.get(ancestor)
-            if current is None:
-                entries[ancestor] = ExpandedConcept(ancestor, score, "superclass")
-            elif score > current.score:
-                entries[ancestor] = ExpandedConcept(ancestor, score, current.origin)
-    return ConceptSet(concept_set.node_id, concept_set.label, entries.values())
+
+    def superclasses(source: ExpandedConcept):
+        distances = ontology.ancestor_distances(source.concept_id)
+        return (
+            (ancestor, (1.0 / (hops + 1)) * source.score)
+            for ancestor, hops in sorted(distances.items())
+        )
+
+    return with_derived_concepts(concept_set, superclasses, "superclass")
 
 
 def expand_query_upwards(query: DisjunctiveQuery, ontology: Ontology) -> DisjunctiveQuery:

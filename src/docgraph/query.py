@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     InputError,
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .vocabulary import (
     CONCEPT_TYPES,
+    ConceptTranslation,
     Vocabulary,
     greedy_concept_detection,
     tokenize,
@@ -228,21 +229,42 @@ def query_translation_score(query: DisjunctiveQuery) -> float:
     return min(cs.best_score for cs in query.components)
 
 
-def with_subclass_alternatives(concept_set: ConceptSet, ontology) -> ConceptSet:
-    """Add every concept's subclasses as alternatives inheriting its score.
+def with_derived_concepts(
+    concept_set: ConceptSet,
+    derive: Callable[[ExpandedConcept], Iterable[tuple[str, float]]],
+    origin: str,
+) -> ConceptSet:
+    """Add the ``(concept, score)`` pairs ``derive`` yields for each entry.
 
-    An already-present concept keeps its entry unless a subclass derivation
-    carries a higher score.
+    A new concept takes ``origin``. A concept already present keeps its
+    origin and is only ever raised, to the maximum score derived for it.
     """
     entries = {e.concept_id: e for e in concept_set.entries()}
     for source in concept_set.entries():
-        for sub in sorted(ontology.subclasses(source.concept_id)):
-            current = entries.get(sub)
+        for concept_id, score in derive(source):
+            current = entries.get(concept_id)
             if current is None:
-                entries[sub] = ExpandedConcept(sub, source.score, "subclass")
-            elif source.score > current.score:
-                entries[sub] = ExpandedConcept(sub, source.score, current.origin)
+                entries[concept_id] = ExpandedConcept(concept_id, score, origin)
+            elif score > current.score:
+                entries[concept_id] = ExpandedConcept(concept_id, score, current.origin)
     return ConceptSet(concept_set.node_id, concept_set.label, entries.values())
+
+
+def with_subclass_alternatives(concept_set: ConceptSet, ontology) -> ConceptSet:
+    """Add every concept's subclasses as alternatives inheriting its score."""
+    return with_derived_concepts(
+        concept_set,
+        lambda source: (
+            (sub, source.score) for sub in sorted(ontology.subclasses(source.concept_id))
+        ),
+        "subclass",
+    )
+
+
+def _translated_set(node_id: str, term: str, hits: Sequence[ConceptTranslation]) -> ConceptSet:
+    """A query node whose alternatives are a term's vocabulary hits."""
+    originals = (ExpandedConcept(h.concept_id, h.translation_score, "original") for h in hits)
+    return ConceptSet(node_id, term, originals)
 
 
 def _normalized(term: str) -> str:
@@ -275,14 +297,7 @@ def translate_term_query(
         hits = vocabulary.find_concepts(term)
         if not hits:
             raise UntranslatableTermError(f"term {term!r} matches no known concept")
-        concept_set = ConceptSet(
-            node_id,
-            term,
-            (
-                ExpandedConcept(h.concept_id, h.translation_score, "original")
-                for h in hits
-            ),
-        )
+        concept_set = _translated_set(node_id, term, hits)
         if ontology is not None:
             concept_set = with_subclass_alternatives(concept_set, ontology)
         sets[node_id] = concept_set
@@ -353,16 +368,7 @@ def compile_keyword_topic(
                 + (f" (type {concept_type})" if concept_type else "")
                 + " matches no known concept"
             )
-        sets.append(
-            ConceptSet(
-                f"c{i + 1}",
-                term,
-                (
-                    ExpandedConcept(h.concept_id, h.translation_score, "original")
-                    for h in hits
-                ),
-            )
-        )
+        sets.append(_translated_set(f"c{i + 1}", term, hits))
     text = " ".join(term for term, _ in components)
     if k == 1:
         return DisjunctiveQuery((sets[0],), (), text=text)
@@ -437,6 +443,8 @@ def parse_topics_file(source: str | Path) -> list[Topic]:
         topic_id, kind, payload = (p.strip() for p in parts)
         if not topic_id or topic_id in seen_ids:
             raise TopicsFormatError(f"{path}:{lineno}: missing or duplicate topic id")
+        if topic_id.split() != [topic_id]:
+            raise TopicsFormatError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
         seen_ids.add(topic_id)
         if kind == "freetext":
             topics.append(Topic(topic_id, "freetext", text=payload))

@@ -27,7 +27,10 @@ def tokenize(text: str) -> list[str]:
 
 def jaccard_similarity(a: str, b: str) -> float:
     """Jaccard similarity of the two strings' token sets; 0.0 if both are empty."""
-    ta, tb = set(tokenize(a)), set(tokenize(b))
+    return _token_jaccard(frozenset(tokenize(a)), frozenset(tokenize(b)))
+
+
+def _token_jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
     if not ta and not tb:
         return 0.0
     return len(ta & tb) / len(ta | tb)
@@ -143,8 +146,7 @@ class Vocabulary:
             entry = self._syn_entry[idx]
             if type_filter is not None and entry.concept_type != type_filter:
                 continue
-            syn_tokens = self._syn_tokens[idx]
-            score = len(query_tokens & syn_tokens) / len(query_tokens | syn_tokens)
+            score = _token_jaccard(query_tokens, self._syn_tokens[idx])
             current = best.get(entry.concept_id)
             if current is None or score > current[0]:
                 best[entry.concept_id] = (score, self._syn_text[idx])

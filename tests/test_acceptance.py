@@ -147,7 +147,7 @@ def test_criterion_2_ranking_formula_oracle(fix1_corpus, fix1_config):
                 query, class_docs, corpus, fix1_config.taxonomy, fix1_config.weights
             )
             fragments = [
-                (doc_id, f.edges, f.node_map)
+                (doc_id, f.edges, dict(f.node_bindings))
                 for doc_id, fs in class_docs.items()
                 for f in fs
             ]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from docgraph.bm25 import build_text_index
-from docgraph.cli import main
+from docgraph.cli import RANKERS, main
 from docgraph.corpus import ingest_documents
 from docgraph.errors import InputError
 from docgraph.evaluation import Run
@@ -374,6 +374,78 @@ class TestSearchCommand:
         assert code == 0
         run = Run.read(out / "run-bm25-native.txt")
         assert set(run.doc_ids("0")) == {"D-A", "D-B"}
+
+
+@pytest.mark.parametrize("kind", ["topics", "corpus"])
+def test_id_with_whitespace_exits_one(kind, fix1_index_dir, tmp_path, capsys):
+    # Run files are split on whitespace, so such an id would be written as a
+    # line that Run.read cannot parse ("T 1 Q0 D-A ...").
+    bad = tmp_path / f"bad-{kind}"
+    if kind == "topics":
+        bad.write_text("T 1\tkeyword\tmetformin | diabetes\n")
+        argv = ["evaluate", *fix1_args(index_dir=fix1_index_dir), "--topics", str(bad),
+                "--qrels", str(FIXTURES / "fix1_qrels.txt")]
+        message = f"{bad}:1: topic id 'T 1' contains whitespace"
+    else:
+        first = (FIXTURES / "fix1_corpus.jsonl").read_text().splitlines()[0]
+        bad.write_text(first.replace('"D-A"', '"D A"') + "\n")
+        argv = ["index", "--corpus", str(bad), "--vocab", str(FIXTURES / "fix1_vocabulary.tsv")]
+        message = f"{bad}:1: doc_id 'D A' contains whitespace"
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"docgraph: error: {message}\n"
+    assert not out.exists()
+
+
+ONTOLOGY_ARGS = ("--ontology", str(FIXTURES / "fix1_ontology.tsv"), "--expand-ontology")
+# fix1's topics plus a triangle that D-B matches only partially.
+AGREEMENT_TOPICS = (FIXTURES / "fix1_topics.tsv").read_text() + (
+    "T3\tkeyword\tmetformin | diabetes | hypertension\n"
+)
+
+
+@pytest.fixture(scope="module")
+def expanded_evaluation(fix1_index_dir, tmp_path_factory):
+    """The agreement topics evaluated over every ranker and both match modes."""
+    root = tmp_path_factory.mktemp("evaluate")
+    topics = root / "topics.tsv"
+    topics.write_text(AGREEMENT_TOPICS)
+    argv = [
+        "evaluate",
+        *fix1_args(*ONTOLOGY_ARGS, index_dir=fix1_index_dir),
+        "--topics", str(topics),
+        "--qrels", str(FIXTURES / "fix1_qrels.txt"),
+        "--out", str(root / "eval"),
+        *[arg for ranker in RANKERS for arg in ("--ranker", ranker)],
+    ]
+    assert main(argv) == 0
+    return root / "eval"
+
+
+@pytest.mark.parametrize("ranker", RANKERS)
+@pytest.mark.parametrize("match", ["full", "partial"])
+@pytest.mark.parametrize(
+    "topic", [line.split("\t") for line in AGREEMENT_TOPICS.splitlines()], ids=lambda t: t[0]
+)
+def test_search_agrees_with_evaluate(
+    topic, match, ranker, expanded_evaluation, fix1_index_dir, tmp_path
+):
+    # search ranks one topic exactly as evaluate does; only the topic column differs.
+    topic_id, kind, payload = topic
+    flag = {"keyword": "--keywords", "freetext": "--freetext"}[kind]
+    out = tmp_path / "search"
+    argv = ["search", *fix1_args(*ONTOLOGY_ARGS, index_dir=fix1_index_dir),
+            "--match", match, "--ranker", ranker, flag, payload, "--out", str(out)]
+    assert main(argv) == 0
+    (run_file,) = out.iterdir()
+
+    def rows(path, topic_column):
+        split = (line.split(" ", 1) for line in path.read_text().splitlines())
+        return [rest for column, rest in split if column == topic_column]
+
+    searched = rows(run_file, "0")
+    assert searched
+    assert searched == rows(expanded_evaluation / run_file.name, topic_id)
 
 
 class TestEvaluateCommand:

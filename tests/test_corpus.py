@@ -146,6 +146,7 @@ class TestRecordValidation:
         "mutate, message",
         [
             (_change("doc_id"), "missing field 'doc_id'"),
+            (_change("doc_id", to="X\tY"), "doc_id 'X\\tY' contains whitespace"),
             (_change("mentions", 1, "start"), "missing field 'start'"),
             (_change("statements", 0, "confidence"), "missing field 'confidence'"),
             (_change("statements", 0, "sentence"), "missing field 'sentence'"),

@@ -204,7 +204,7 @@ class TestEvaluate:
         assert report.per_topic == {}
         assert report.means == {}
         assert report.skipped_topics == ("T1",)
-        assert report.warning_count == 1
+        assert len(report.skipped_topics) + len(report.excluded_topics) == 1
 
     def test_excluded_topics_carried(self):
         qrels = Qrels({"T1": {"A": 1}})
@@ -212,7 +212,7 @@ class TestEvaluate:
         run.add_topic("T1", [("A", 1.0)])
         report = evaluate(run, qrels, excluded=[("T9", "untranslatable")])
         assert report.excluded_topics == (("T9", "untranslatable"),)
-        assert report.warning_count == 1
+        assert len(report.skipped_topics) + len(report.excluded_topics) == 1
 
     def test_metrics_rank_only(self):
         # positive monotone rescaling of scores leaves every metric unchanged

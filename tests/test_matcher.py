@@ -74,7 +74,7 @@ class TestMatches:
         query = NarrativeQuery([FactPattern(m, PredicateSlot.of("treats"), dm)])
         fragments = matches(query, fix1_corpus.document("D-A"))
         assert [f.edges for f in fragments] == [(("M", "treats", "DM"),)]
-        assert fragments[0].node_map == {"m": "M", "dm": "DM"}
+        assert dict(fragments[0].node_bindings) == {"m": "M", "dm": "DM"}
         assert not fragments.truncated
 
     def test_two_pattern_chain_via_shared_node(self, fix1_corpus):
@@ -104,7 +104,7 @@ class TestMatches:
         query = NarrativeQuery([FactPattern(dm, PredicateSlot.wildcard(), m)])
         fragments = matches(query, fix1_corpus.document("D-B"))
         assert [f.edges for f in fragments] == [(("M", "associated", "DM"),)]
-        assert fragments[0].node_map == {"dm": "DM", "m": "M"}
+        assert dict(fragments[0].node_bindings) == {"dm": "DM", "m": "M"}
 
     def test_concrete_predicate_is_directional(self, fix1_corpus):
         dm = concept_set("dm", "DM")
@@ -183,7 +183,7 @@ class TestRetrieve:
         assert set(result.full) == {"D-A"}
         assert result.partial == {}
         assert result.full["D-A"][0].edges == ()
-        assert result.full["D-A"][0].node_map == {"h": "H"}
+        assert dict(result.full["D-A"][0].node_bindings) == {"h": "H"}
 
     def test_pooling_cap_marks_truncation(self, monkeypatch):
         # F fully matches with two fragments; P matches only the first pattern,
@@ -235,7 +235,7 @@ class TestRetrieve:
         )
         result = retrieve(query, fix1_index, fix1_corpus, scope=frozenset({"D-B"}))
         (fragment,) = result.full["D-B"]
-        assert fragment.node_map == {"x": "M", "y": "DM"}
+        assert dict(fragment.node_bindings) == {"x": "M", "y": "DM"}
 
     def test_one_lookup_per_distinct_pattern(self, monkeypatch):
         # 4 components compile to 16 spanning-tree alternatives of 3 patterns
@@ -299,7 +299,7 @@ class TestRetrieve:
         )
         result = retrieve(query, index, corpus)
         assert result.full == {}
-        assert [(f.edges, f.node_map) for f in result.partial["R"]] == [
+        assert [(f.edges, dict(f.node_bindings)) for f in result.partial["R"]] == [
             ((("a", "treats", "b"),), {"x": "a", "y": "b"}),
             ((("b", "treats", "a"),), {"x": "b", "y": "a"}),
             ((("a", "treats", "c"),), {"x": "a", "y": "c"}),

@@ -442,7 +442,7 @@ class TestReferenceOracleAgreement:
             query, result.full, fix1_corpus, fix1_config.taxonomy, fix1_config.weights
         )
         fragments = [
-            (doc_id, f.edges, f.node_map)
+            (doc_id, f.edges, dict(f.node_bindings))
             for doc_id, fs in result.full.items()
             for f in fs
         ]
@@ -471,7 +471,7 @@ class TestReferenceOracleAgreement:
                     query, class_docs, corpus, fix1_config.taxonomy, fix1_config.weights
                 )
                 fragments = [
-                    (doc_id, f.edges, f.node_map)
+                    (doc_id, f.edges, dict(f.node_bindings))
                     for doc_id, fs in class_docs.items()
                     for f in fs
                 ]
@@ -497,7 +497,7 @@ class TestReferenceOracleAgreement:
             "D-B": {"length": 50, "mentions": {"M": [0], "DM": [20]}, "statements": []},
         }
         fragments = [
-            (doc_id, f.edges, f.node_map)
+            (doc_id, f.edges, dict(f.node_bindings))
             for doc_id, fs in result.full.items()
             for f in fs
         ]
