@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Corpus
 from .errors import InputError
@@ -36,13 +36,13 @@ class TextIndex:
     def __init__(
         self,
         doc_count: int,
-        postings: Mapping[str, Mapping[str, int]],
-        doc_lengths: Mapping[str, int],
+        postings: dict[str, dict[str, int]],
+        doc_lengths: dict[str, int],
         avg_length: float,
     ):
         self.doc_count = doc_count
-        self.postings = {token: dict(entry) for token, entry in postings.items()}
-        self.doc_lengths = dict(doc_lengths)
+        self.postings = postings
+        self.doc_lengths = doc_lengths
         self.avg_length = avg_length
 
     def term_df(self, token: str) -> int:

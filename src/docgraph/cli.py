@@ -242,41 +242,27 @@ def cmd_evaluate(args, ctx: _Context) -> int:
     modes = [(match_mode, ranker) for match_mode in match_modes for ranker in graph_rankers]
     if "bm25-native" in rankers:
         modes.append(("-", "bm25-native"))
+    mode_labels = {mode: _mode_label(mode[0], expand, mode[1]) for mode in modes}
+    runs = {mode: Run(tag) for mode, (tag, _) in mode_labels.items()}
 
-    def process(topic):
+    excluded: list[tuple[str, str]] = []
+    translation_scores: dict[str, float] = {}
+    for topic in topics:
         try:
             query = compile_topic(topic, ctx.vocabulary)
         except InputError as exc:
-            return topic.topic_id, None, None, str(exc)
-        translation = query_translation_score(query)
+            excluded.append((topic.topic_id, str(exc)))
+            continue
+        translation_scores[topic.topic_id] = query_translation_score(query)
         if expand:
             query = expand_query_upwards(query, ctx.ontology)
-        ranked = rank_query(query, ctx, match_modes, rankers, args.cutoff)
-        rankings = {
-            mode: [(e.doc_id, e.run_score) for e in entries] for mode, entries in ranked.items()
-        }
-        return topic.topic_id, translation, rankings, None
-
-    outcomes = [process(topic) for topic in topics]
-
-    excluded = [
-        (topic_id, reason) for topic_id, _, _, reason in outcomes if reason is not None
-    ]
-    translation_scores = {
-        topic_id: translation
-        for topic_id, translation, _, reason in outcomes
-        if reason is None
-    }
+        for mode, ranked in rank_query(query, ctx, match_modes, rankers, args.cutoff).items():
+            runs[mode].add_topic(topic.topic_id, [(e.doc_id, e.run_score) for e in ranked])
 
     reports: dict[str, MetricReport] = {}
     payload: dict = {"modes": {}}
-    for match_mode, ranker in modes:
-        tag, name = _mode_label(match_mode, expand, ranker)
-        run = Run(tag)
-        for topic_id, _, rankings, reason in outcomes:
-            if reason is not None:
-                continue
-            run.add_topic(topic_id, rankings[(match_mode, ranker)])
+    for mode, run in runs.items():
+        tag, name = mode_labels[mode]
         run.write(out_dir / f"run-{tag}.txt")
         report = evaluate(run, qrels, excluded=excluded)
         reports[tag] = report
@@ -392,6 +378,8 @@ def main(argv=None) -> int:
         # Checked once, before any work, so a run that ranks no topic still fails.
         if args.cutoff < 1:
             raise InputError(f"cutoff must be >= 1, got {args.cutoff}")
+        if getattr(args, "tag", None):
+            Run(args.tag)  # raises on a tag that no run file could carry
         with paused_gc():
             ctx = _load_context(args)
             # The context lives until the command returns; freezing it keeps later

@@ -56,7 +56,9 @@ class Document:
     list is only consumed by the BM25 baseline. The graph is ``edges``: each
     distinct (subject, predicate, object) triple maps to the maximum
     confidence over the extractions that state it; ``sorted_edges`` lists
-    the same triples in lexicographic order.
+    the same triples in lexicographic order. ``coverage`` maps each
+    mentioned concept to the spread of its mentions: the distance between
+    its last and first mention starts over ``text_length``.
     """
 
     __slots__ = (
@@ -67,7 +69,7 @@ class Document:
         "extractions",
         "concept_counts",
         "max_concept_count",
-        "_mention_span",
+        "coverage",
         "edges",
         "sorted_edges",
     )
@@ -108,7 +110,9 @@ class Document:
             span[m.concept_id] = (min(first, m.start), max(last, m.start))
         self.concept_counts = counts
         self.max_concept_count = max(counts.values()) if counts else 0
-        self._mention_span = span
+        self.coverage = {
+            concept: (last - first) / text_length for concept, (first, last) in span.items()
+        }
 
         edges: dict[Edge, float] = {}
         for ex in self.extractions:
@@ -134,15 +138,6 @@ class Document:
                 edges[edge] = ex.confidence
         self.edges = edges
         self.sorted_edges: tuple[Edge, ...] = tuple(sorted(edges))
-
-    def mention_span(self, concept_id: str) -> tuple[int, int]:
-        """(first, last) mention start offsets of a concept."""
-        try:
-            return self._mention_span[concept_id]
-        except KeyError:
-            raise AbsentConceptError(
-                f"concept {concept_id!r} is not mentioned in document {self.doc_id!r}"
-            ) from None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Document({self.doc_id!r}, {len(self.mentions)} mentions, {len(self.extractions)} statements)"
@@ -190,8 +185,12 @@ def concept_coverage(concept_id: str, doc: Document) -> float:
     Distance between the last and first mention start offsets, normalized by
     text length. A concept mentioned once has coverage 0.
     """
-    first, last = doc.mention_span(concept_id)
-    return (last - first) / doc.text_length
+    try:
+        return doc.coverage[concept_id]
+    except KeyError:
+        raise AbsentConceptError(
+            f"concept {concept_id!r} is not mentioned in document {doc.doc_id!r}"
+        ) from None
 
 
 class Corpus:

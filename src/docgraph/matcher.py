@@ -16,7 +16,7 @@ fragments are the pattern's partial matches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .corpus import Corpus, Document, Edge
 from .query import DisjunctiveQuery, FactPattern, NarrativeQuery
@@ -36,11 +36,6 @@ class Fragment:
     doc_id: str
     edges: tuple[Edge, ...]
     node_bindings: tuple[tuple[str, str], ...]
-
-    @property
-    def bound_concepts(self) -> tuple[str, ...]:
-        """Distinct bound concept ids, in node-binding order."""
-        return tuple(dict.fromkeys(concept for _, concept in self.node_bindings))
 
     def edge_key(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -66,11 +61,11 @@ class StatementIndex:
 
     def __init__(
         self,
-        pair: Mapping[frozenset[str], tuple[tuple[str, Edge], ...]],
-        concept_docs: Mapping[str, frozenset[str]],
+        pair: dict[frozenset[str], tuple[tuple[str, Edge], ...]],
+        concept_docs: dict[str, frozenset[str]],
     ):
-        self.pair = dict(pair)
-        self.concept_docs = dict(concept_docs)
+        self.pair = pair
+        self.concept_docs = concept_docs
 
 
 def build_statement_index(corpus: Corpus) -> StatementIndex:
@@ -107,14 +102,13 @@ def _pattern_orientations(
             yield subject, obj
 
 
-def matches(
-    query: NarrativeQuery, doc: Document, cap: int | None = FRAGMENT_CAP
-) -> FragmentList:
+def matches(query: NarrativeQuery, doc: Document) -> FragmentList:
     """All distinct bindings of the query's patterns to the document's edges.
 
     Distinctness is by the bound edge tuple; concept sets shared by several
-    patterns must bind to the same concept everywhere. Enumeration order is
-    deterministic and truncates at ``cap`` fragments.
+    patterns must bind to the same concept everywhere, so a fragment binds
+    exactly its edges' endpoints. Enumeration order is deterministic and
+    truncates at ``FRAGMENT_CAP`` fragments.
     """
     patterns = query.patterns
     options: list[list[tuple[Edge, str, str]]] = []
@@ -143,7 +137,7 @@ def matches(
             key = tuple(chosen)
             if key in seen:
                 return
-            if cap is not None and len(result) >= cap:
+            if len(result) >= FRAGMENT_CAP:
                 result.truncated = True
                 return
             seen.add(key)

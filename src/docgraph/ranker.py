@@ -8,10 +8,12 @@ score; a document scores as its best fragment. Full matches always precede
 partial matches in the assembled list.
 
 Everything but the translation score depends only on the document. So each
-(document, edge) pair's confidence, tf-idf and neighbour edge scores are
-computed once, the first time a fragment reads them, into an edge row kept in
-``Corpus.ranking_cache`` for one taxonomy at a time. This is the one lazily
-filled part of a corpus; concurrent fills of a row write identical values.
+(document, edge) pair's confidence, tf-idf, coverage and neighbour edge
+scores are computed once, the first time a fragment reads them, into an edge
+row kept in ``Corpus.ranking_cache`` for one taxonomy at a time. This is the
+one lazily filled part of a corpus; concurrent fills of a row write identical
+values. A matched fragment binds exactly its edges' endpoints, so its
+coverage is the minimum of its edges' coverages.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def fragment_min_tfidf(
 
 def fragment_coverage(fragment: Fragment, doc: Document) -> float:
     """The weakest covered concept among the fragment's bound nodes."""
-    return min(concept_coverage(concept, doc) for concept in fragment.bound_concepts)
+    return min(concept_coverage(concept, doc) for _, concept in fragment.node_bindings)
 
 
 def neighbor_edges(edge: Edge, doc: Document) -> tuple[Edge, ...]:
@@ -212,9 +214,10 @@ def relational_similarity(
 
 
 # One document edge's query-independent inputs: its confidence, its tf-idf,
-# and its neighbours' edge scores in neighbor_edges order. The scores are an
-# array of the same doubles, so the cache holds no float object per score.
-EdgeRow = tuple[float, float, array]
+# its edge_coverage (the lesser coverage of its two endpoints), and its
+# neighbours' edge scores in neighbor_edges order. The scores are an array of
+# the same doubles, so the cache holds no float object per score.
+EdgeRow = tuple[float, float, float, array]
 
 
 def _edge_rows(
@@ -242,7 +245,7 @@ def _edge_rows(
     tfidfs = [edge_tfidf(edge, doc, stats, taxonomy) for edge in missing]
     for edge, tfidf in zip(missing, tfidfs):
         scores = [edge_score(n, doc, stats, taxonomy) for n in neighbor_edges(edge, doc)]
-        table[edge] = (doc.edges[edge], tfidf, array("d", scores))
+        table[edge] = (doc.edges[edge], tfidf, edge_coverage(edge, doc), array("d", scores))
     return [table[edge] for edge in fragment.edges]
 
 
@@ -252,30 +255,30 @@ def similarity_vector(
     corpus: Corpus,
     taxonomy: PredicateTaxonomy,
 ) -> SimilarityVector:
-    """The fragment's raw similarities, read from its edge rows.
+    """The fragment's raw similarities, read from its four-field edge rows.
 
     Each equals its component function (``fragment_confidence``,
     ``fragment_min_tfidf``, ``fragment_coverage``, ``relational_similarity``)
-    bit for bit: the relational total adds one neighbour score at a time.
+    bit for bit. Coverage is the least row coverage, which equals
+    ``fragment_coverage`` because the fragment binds exactly its edges'
+    endpoints; the relational total adds one neighbour score at a time.
     """
     doc = corpus.document(fragment.doc_id)
     rows = _edge_rows(fragment, doc, corpus, taxonomy)
-    confidence, min_tfidf, _ = rows[0]
+    confidence, min_tfidf, coverage, _ = rows[0]
     relational = 0.0
-    for row_confidence, row_tfidf, neighbor_scores in rows:
-        # One pass for both minima; like min(), it keeps the first smallest.
+    for row_confidence, row_tfidf, row_coverage, neighbor_scores in rows:
+        # One pass for all three minima; like min(), it keeps the first smallest.
         if row_confidence < confidence:
             confidence = row_confidence
         if row_tfidf < min_tfidf:
             min_tfidf = row_tfidf
+        if row_coverage < coverage:
+            coverage = row_coverage
         for score in neighbor_scores:
             relational += score
     return SimilarityVector(
-        confidence,
-        min_tfidf,
-        fragment_coverage(fragment, doc),
-        relational,
-        fragment_translation(fragment, query),
+        confidence, min_tfidf, coverage, relational, fragment_translation(fragment, query)
     )
 
 

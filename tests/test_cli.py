@@ -191,6 +191,17 @@ def test_cutoff_below_one_checked_before_loading(command, tmp_path, capsys):
     assert capsys.readouterr().err == "docgraph: error: cutoff must be >= 1, got 0\n"
 
 
+def test_bad_search_tag_rejected_before_loading(fix1_index_dir, tmp_path, capsys):
+    out = tmp_path / "runs"
+    argv = ["search", *fix1_args(index_dir=fix1_index_dir), "--keywords", "metformin | diabetes",
+            "--tag", "a b", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "docgraph: error: run tag 'a b' must be non-empty without whitespace\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_duplicate_doc_id_names_file_and_lines(tmp_path, capsys):
     first = (FIXTURES / "fix1_corpus.jsonl").read_text().splitlines()[0]
     corpus = tmp_path / "dup.jsonl"

@@ -391,6 +391,35 @@ class TestOracleEquivalence:
             for doc_id, fragments in result.partial.items():
                 assert {f.edge_key() for f in fragments} == expected_partial[doc_id]
 
+    def test_fragments_bind_exactly_their_edge_endpoints(self):
+        # GraphRank takes a fragment's coverage from its edges alone, which is
+        # right only while its bound concepts are its edges' endpoints.
+        rng = random.Random(61)
+        checked = {True: 0, False: 0}
+        overlapping = multi_edge = 0
+        for trial in range(60):
+            raw = random_raw_corpus(rng, max_docs=12, max_concepts=6, max_edges=12)
+            corpus = corpus_from_raw(raw)
+            concepts = sorted({c for d in raw.values() for c in d["mentions"]})
+            query = random_query(rng, concepts, n_alternatives=rng.randint(2, 3))
+            sets = [set(cs.concept_ids()) for cs in query.components]
+            overlapping += any(a & b for i, a in enumerate(sets) for b in sets[i + 1:])
+            scoped = trial % 2 == 0
+            scope = (
+                frozenset(rng.sample(corpus.doc_ids, rng.randint(1, len(corpus.doc_ids))))
+                if scoped
+                else None
+            )
+            result = retrieve(query, build_statement_index(corpus), corpus, scope)
+            for fragments in (*result.full.values(), *result.partial.values()):
+                for fragment in fragments:
+                    endpoints = {c for s, _, o in fragment.edges for c in (s, o)}
+                    assert {c for _, c in fragment.node_bindings} == endpoints, fragment
+                    checked[scoped] += 1
+                    multi_edge += len(fragment.edges) >= 2
+        assert min(checked.values()) > 100
+        assert overlapping > 20 and multi_edge > 100
+
     def test_matches_equals_exhaustive_enumeration(self):
         rng = random.Random(53)
         checked = 0

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from docgraph import ranker
 from docgraph.errors import InconsistencyError, InputError, MissingSpecificityError
 from docgraph.matcher import Fragment, build_statement_index, retrieve
 from docgraph.query import (
@@ -698,3 +699,27 @@ class TestEdgeRows:
         assert vector != similarity_vector(first, query, corpus, taxonomy)
         assert corpus.ranking_cache[0] is taxonomy
         assert self.cached_rows(corpus) == 1
+
+
+def test_warm_edge_query_reads_no_concept_coverage(taxonomy, monkeypatch):
+    # Coverage lives in the edge rows, so once they are filled ranking an
+    # edge query never asks a document for a concept's coverage.
+    calls = []
+    real = ranker.concept_coverage
+    monkeypatch.setattr(ranker, "concept_coverage", lambda c, doc: calls.append(c) or real(c, doc))
+    rng = random.Random(97)
+    ranked = 0
+    for _ in range(20):
+        raw = random_raw_corpus(rng, max_docs=10, max_concepts=6, max_edges=12)
+        corpus = corpus_from_raw(raw)
+        concepts = sorted({c for d in raw.values() for c in d["mentions"]})
+        query = random_query(rng, concepts, n_alternatives=2)
+        result = retrieve(query, build_statement_index(corpus), corpus)
+        classes = (("full", result.full), ("partial", result.partial))
+        cold = [graph_rank(query, f, corpus, taxonomy, Weights(), c) for c, f in classes]
+        cold_calls = len(calls)
+        warm = [graph_rank(query, f, corpus, taxonomy, Weights(), c) for c, f in classes]
+        assert len(calls) == cold_calls
+        assert warm == cold
+        ranked += sum(len(scored) for scored in warm)
+    assert calls and ranked > 30
