@@ -9,11 +9,9 @@ rewriting, benchmarked against BM25 through a TREC-style harness.
 from .bm25 import BM25Params, TextIndex, bm25_rerank, bm25_retrieve, bm25_score, build_text_index
 from .config import RankingConfig, load_config
 from .corpus import (
-    ConceptMention,
     Corpus,
     CorpusStats,
     Document,
-    StatementExtraction,
     concept_coverage,
     concept_idf,
     concept_tf,

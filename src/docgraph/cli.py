@@ -12,11 +12,10 @@ import gc
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from .bm25 import bm25_rerank, bm25_retrieve
 from .config import RankingConfig, load_config
-from .errors import DocGraphError, InconsistencyError, InputError, read_input_text
+from .errors import DocGraphError, InconsistencyError, InputError, make_output_dir, read_input_text
 from .evaluation import METRIC_KEYS, MetricReport, Run, evaluate, load_qrels
 from .matcher import Fragment, retrieve
 from .ontology import Ontology, expand_query_upwards, load_ontology
@@ -211,6 +210,8 @@ def cmd_search(args, ctx: _Context) -> int:
 
     (ranked,) = rank_query(query, ctx, [args.match], [args.ranker], args.cutoff).values()
     tag = args.tag or _mode_label(args.match, args.expand_ontology, args.ranker)[0]
+    # Made before any hit is printed, so a bad --out fails with no partial output.
+    out_dir = make_output_dir(args.out) if args.out else None
     print(f"# {len(ranked)} hits (translation score {query_translation_score(query):.4f})")
     for entry in ranked:
         line = f"{entry.rank:4d}. {entry.doc_id}  score={entry.model_score:.6f}  [{entry.match_class}]"
@@ -218,9 +219,7 @@ def cmd_search(args, ctx: _Context) -> int:
         print(line)
         if explanation:
             print(f"      {explanation}")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         run = Run(tag)
         run.add_topic("0", [(e.doc_id, e.run_score) for e in ranked])
         run_path = out_dir / f"run-{tag}.txt"
@@ -232,8 +231,7 @@ def cmd_search(args, ctx: _Context) -> int:
 def cmd_evaluate(args, ctx: _Context) -> int:
     topics = parse_topics_file(args.topics)
     qrels = load_qrels(args.qrels)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(args.out)
 
     match_modes = list(dict.fromkeys(args.match or ["full", "partial"]))
     rankers = list(dict.fromkeys(args.ranker or ["graphrank"]))

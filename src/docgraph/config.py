@@ -50,20 +50,21 @@ def load_config(source: str | Path) -> RankingConfig:
             try:
                 if key == "weights":
                     parsed = json.loads(value)
-                    if not (isinstance(parsed, list) and len(parsed) == 4):
-                        raise ConfigFormatError(
-                            f"{where}: weights must be a list of 4 numbers"
-                        )
+                    # A JSON number decodes to int or float; true/false decode to bool.
+                    if not (
+                        type(parsed) is list
+                        and len(parsed) == 4
+                        and all(type(v) in (int, float) for v in parsed)
+                    ):
+                        raise ConfigFormatError("weights must be a list of 4 numbers")
                     weights = Weights(*[float(v) for v in parsed])
                 elif key == "k1":
                     k1 = float(value)
                 elif key == "b":
                     b = float(value)
                 else:
-                    raise ConfigFormatError(f"{where}: unknown setting {key!r}")
-            except (ValueError, json.JSONDecodeError) as exc:
-                raise ConfigFormatError(f"{where}: {exc}") from None
-            except InputError as exc:
+                    raise ConfigFormatError(f"unknown setting {key!r}")
+            except (ValueError, OverflowError, InputError) as exc:
                 raise ConfigFormatError(f"{where}: {exc}") from None
         elif "\t" in line:
             parts = [p.strip() for p in line.split("\t")]

@@ -1,7 +1,8 @@
 """Corpus ingestion, documents as statement graphs, and concept statistics.
 
 Documents arrive pre-annotated: concept mentions with character offsets and
-(subject, predicate, object) statement extractions with confidence scores.
+(subject, predicate, object) statement extractions with confidence scores,
+both kept as plain tuples in their record's field order.
 The upstream NLP pipeline that produces these annotations is not part of this
 package. Each :class:`Document` is its own graph: one edge per distinct
 statement. After construction a :class:`Corpus` and everything hanging off it
@@ -23,42 +24,29 @@ from .errors import AbsentConceptError, CorpusFormatError, read_input_text
 
 # A directed labeled edge of a document graph.
 Edge = tuple[str, str, str]
+# (concept_id, start, end): one occurrence of a concept in the text.
+Mention = tuple[str, int, int]
+# (subject, predicate, object, confidence, sentence): one extracted statement.
+Statement = tuple[str, str, str, float, int]
 
-
-@dataclass(frozen=True)
-class ConceptMention:
-    """One occurrence of a concept in a document's text."""
-
-    concept_id: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
-class StatementExtraction:
-    """One extracted statement with its extraction confidence."""
-
-    subject: str
-    predicate: str
-    object: str
-    confidence: float
-    sentence_index: int
-
-    @property
-    def edge(self) -> Edge:
-        return (self.subject, self.predicate, self.object)
+# Corpus record field names, in tuple order.
+MENTION_FIELDS = ("concept_id", "start", "end")
+STATEMENT_FIELDS = ("subject", "predicate", "object", "confidence", "sentence")
 
 
 class Document:
     """A validated, immutable pre-annotated document and its statement graph.
 
-    Offsets are 0-based character positions with exclusive ends. The token
-    list is only consumed by the BM25 baseline. The graph is ``edges``: each
-    distinct (subject, predicate, object) triple maps to the maximum
-    confidence over the extractions that state it; ``sorted_edges`` lists
-    the same triples in lexicographic order. ``coverage`` maps each
-    mentioned concept to the spread of its mentions: the distance between
-    its last and first mention starts over ``text_length``.
+    ``mentions`` holds plain ``(concept_id, start, end)`` tuples, with
+    0-based character offsets and exclusive ends; ``extractions`` holds
+    plain ``(subject, predicate, object, confidence, sentence)`` tuples.
+    Both follow the corpus record's field order. The token list is only
+    consumed by the BM25 baseline. The graph is ``edges``: each distinct
+    (subject, predicate, object) triple maps to the maximum confidence over
+    the extractions that state it; ``sorted_edges`` lists the same triples
+    in lexicographic order. ``coverage`` maps each mentioned concept to the
+    spread of its mentions: the distance between its last and first mention
+    starts over ``text_length``.
     """
 
     __slots__ = (
@@ -79,8 +67,8 @@ class Document:
         doc_id: str,
         text_length: int,
         tokens: Iterable[str],
-        mentions: Iterable[ConceptMention],
-        extractions: Iterable[StatementExtraction],
+        mentions: Iterable[Mention],
+        extractions: Iterable[Statement],
     ):
         if not isinstance(doc_id, str) or not doc_id:
             raise CorpusFormatError("doc_id must be a non-empty string")
@@ -97,17 +85,17 @@ class Document:
 
         counts: dict[str, int] = {}
         span: dict[str, tuple[int, int]] = {}
-        for m in self.mentions:
-            if not m.concept_id:
+        for concept_id, start, end in self.mentions:
+            if not concept_id:
                 raise CorpusFormatError("mention with empty concept_id")
-            if not (0 <= m.start < m.end <= text_length):
+            if not (0 <= start < end <= text_length):
                 raise CorpusFormatError(
-                    f"mention of {m.concept_id!r} at ({m.start}, {m.end}) "
+                    f"mention of {concept_id!r} at ({start}, {end}) "
                     f"is outside [0, {text_length}]"
                 )
-            counts[m.concept_id] = counts.get(m.concept_id, 0) + 1
-            first, last = span.get(m.concept_id, (m.start, m.start))
-            span[m.concept_id] = (min(first, m.start), max(last, m.start))
+            counts[concept_id] = counts.get(concept_id, 0) + 1
+            first, last = span.get(concept_id, (start, start))
+            span[concept_id] = (min(first, start), max(last, start))
         self.concept_counts = counts
         self.max_concept_count = max(counts.values()) if counts else 0
         self.coverage = {
@@ -115,27 +103,27 @@ class Document:
         }
 
         edges: dict[Edge, float] = {}
-        for ex in self.extractions:
-            if ex.subject == ex.object:
+        for subject, predicate, obj, confidence, sentence in self.extractions:
+            if subject == obj:
                 raise CorpusFormatError(
-                    f"self-loop statement on {ex.subject!r} is not allowed"
+                    f"self-loop statement on {subject!r} is not allowed"
                 )
-            if not 0.0 <= ex.confidence <= 1.0:
+            if not 0.0 <= confidence <= 1.0:
                 raise CorpusFormatError(
-                    f"statement ({ex.subject}, {ex.predicate}, {ex.object}) "
-                    f"has confidence {ex.confidence!r} outside [0, 1]"
+                    f"statement ({subject}, {predicate}, {obj}) "
+                    f"has confidence {confidence!r} outside [0, 1]"
                 )
-            if ex.sentence_index < 0:
+            if sentence < 0:
                 raise CorpusFormatError("negative sentence index")
-            for concept in (ex.subject, ex.object):
+            for concept in (subject, obj):
                 if concept not in counts:
                     raise CorpusFormatError(
                         f"statement references unmentioned concept {concept!r}"
                     )
-            edge = ex.edge
+            edge = (subject, predicate, obj)
             best = edges.get(edge)
-            if best is None or ex.confidence > best:
-                edges[edge] = ex.confidence
+            if best is None or confidence > best:
+                edges[edge] = confidence
         self.edges = edges
         self.sorted_edges: tuple[Edge, ...] = tuple(sorted(edges))
 
@@ -244,12 +232,17 @@ def _require(record: Mapping, field: str, kind, where: str):
     return value
 
 
+def _require_fields(entry: Mapping, fields: tuple[str, ...], kinds: tuple, where: str) -> tuple:
+    return tuple(_require(entry, field, kind, where) for field, kind in zip(fields, kinds))
+
+
 def parse_document_record(record: Mapping, where: str = "<record>") -> Document:
     """Build a validated Document from one decoded corpus record.
 
     Decoded JSON holds plain dicts of exact types, so each mention and
     statement is first checked with ``type(x) is T``. An entry that fails
-    that check goes through the general ``_require``/``Mapping`` checks.
+    that check goes through the general ``_require``/``Mapping`` checks,
+    field by field in record order.
     """
     if type(record) is not dict and not isinstance(record, Mapping):
         raise CorpusFormatError(f"{where}: record must be a JSON object")
@@ -263,17 +256,11 @@ def parse_document_record(record: Mapping, where: str = "<record>") -> Document:
         if type(m) is dict:
             concept_id, start, end = m.get("concept_id"), m.get("start"), m.get("end")
             if type(concept_id) is str and type(start) is type(end) is int:
-                mentions.append(ConceptMention(concept_id, start, end))
+                mentions.append((concept_id, start, end))
                 continue
         elif not isinstance(m, Mapping):
             raise CorpusFormatError(f"{where}: mention entries must be objects")
-        mentions.append(
-            ConceptMention(
-                concept_id=_require(m, "concept_id", str, where),
-                start=_require(m, "start", int, where),
-                end=_require(m, "end", int, where),
-            )
-        )
+        mentions.append(_require_fields(m, MENTION_FIELDS, (str, int, int), where))
     statements = []
     for s in _require(record, "statements", list, where):
         if type(s) is dict:
@@ -282,21 +269,11 @@ def parse_document_record(record: Mapping, where: str = "<record>") -> Document:
             if type(subject) is type(predicate) is type(obj) is str and (
                 type(confidence) is float and type(sentence) is int
             ):
-                statements.append(
-                    StatementExtraction(subject, predicate, obj, confidence, sentence)
-                )
+                statements.append((subject, predicate, obj, confidence, sentence))
                 continue
         elif not isinstance(s, Mapping):
             raise CorpusFormatError(f"{where}: statement entries must be objects")
-        statements.append(
-            StatementExtraction(
-                subject=_require(s, "subject", str, where),
-                predicate=_require(s, "predicate", str, where),
-                object=_require(s, "object", str, where),
-                confidence=_require(s, "confidence", float, where),
-                sentence_index=_require(s, "sentence", int, where),
-            )
-        )
+        statements.append(_require_fields(s, STATEMENT_FIELDS, (str, str, str, float, int), where))
     try:
         return Document(doc_id, text_length, tokens, mentions, statements)
     except CorpusFormatError as exc:
@@ -309,20 +286,8 @@ def document_to_record(doc: Document) -> dict:
         "doc_id": doc.doc_id,
         "text_length": doc.text_length,
         "tokens": list(doc.tokens),
-        "mentions": [
-            {"concept_id": m.concept_id, "start": m.start, "end": m.end}
-            for m in doc.mentions
-        ],
-        "statements": [
-            {
-                "subject": s.subject,
-                "predicate": s.predicate,
-                "object": s.object,
-                "confidence": s.confidence,
-                "sentence": s.sentence_index,
-            }
-            for s in doc.extractions
-        ],
+        "mentions": [dict(zip(MENTION_FIELDS, m)) for m in doc.mentions],
+        "statements": [dict(zip(STATEMENT_FIELDS, s)) for s in doc.extractions],
     }
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the engine, and the input-file reader."""
+"""Exception types shared across the engine, the input-file reader and the
+output-directory maker."""
 
 from pathlib import Path
 
@@ -65,3 +66,12 @@ def read_input_text(path: str | Path, kind: str, error: type[InputError] = Input
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def make_output_dir(path: str | Path) -> Path:
+    """Create an output directory and its parents if missing, or InputError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)

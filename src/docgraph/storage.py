@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bm25 import TextIndex, build_text_index
 from .corpus import Corpus, document_to_record, paused_gc, parse_corpus
-from .errors import InputError
+from .errors import InputError, make_output_dir
 from .matcher import StatementIndex, build_statement_index
 
 FORMAT_VERSION = 2
@@ -39,8 +39,7 @@ def _json(payload) -> str:
 
 def save_index(out_dir: str | Path, corpus: Corpus) -> Path:
     """Write the index directory; returns the manifest path."""
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_output_dir(out_dir)
 
     documents = "".join(
         _json(document_to_record(corpus.document(doc_id))) + "\n"

@@ -6,12 +6,7 @@ import json
 import random
 from pathlib import Path
 
-from docgraph.corpus import (
-    ConceptMention,
-    Corpus,
-    Document,
-    StatementExtraction,
-)
+from docgraph.corpus import Corpus, Document
 from docgraph.query import (
     ConceptSet,
     DisjunctiveQuery,
@@ -76,12 +71,12 @@ def corpus_from_raw(raw) -> Corpus:
     documents = []
     for doc_id, doc in raw.items():
         mentions = [
-            ConceptMention(concept, start, min(start + 3, doc["length"]))
+            (concept, start, min(start + 3, doc["length"]))
             for concept, starts in doc["mentions"].items()
             for start in starts
         ]
         statements = [
-            StatementExtraction(subject, predicate, obj, confidence, sentence_index=0)
+            (subject, predicate, obj, confidence, 0)
             for subject, predicate, obj, confidence in doc["statements"]
         ]
         documents.append(

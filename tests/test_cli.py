@@ -202,6 +202,26 @@ def test_bad_search_tag_rejected_before_loading(fix1_index_dir, tmp_path, capsys
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command", ["index", "search", "evaluate"])
+def test_out_on_existing_file_exits_one(command, fix1_index_dir, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    argv = {
+        "index": ["--corpus", FIXTURES / "fix1_corpus.jsonl",
+                  "--vocab", FIXTURES / "fix1_vocabulary.tsv"],
+        "search": [*fix1_args(index_dir=fix1_index_dir), "--keywords", "metformin | diabetes"],
+        "evaluate": [*fix1_args(index_dir=fix1_index_dir),
+                     "--topics", FIXTURES / "fix1_topics.tsv",
+                     "--qrels", FIXTURES / "fix1_qrels.txt"],
+    }[command]
+    assert main([command, *map(str, argv), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"docgraph: error: cannot create output directory {out}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert out.read_text() == "not a directory\n"
+
 def test_duplicate_doc_id_names_file_and_lines(tmp_path, capsys):
     first = (FIXTURES / "fix1_corpus.jsonl").read_text().splitlines()[0]
     corpus = tmp_path / "dup.jsonl"

@@ -49,6 +49,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigFormatError, match="4 numbers"):
             load_config(path)
 
+
+    @pytest.mark.parametrize(
+        "value",
+        ["[null, 0.5, 0.25, 0.25]", "[[1], 0, 0, 0]", "[true, false, false, false]",
+         '{"a": 1}', "[0.5, 0.5]", '[0.25, 0.25, 0.25, "0.25"]'],
+    )
+    def test_weights_must_be_four_json_numbers(self, tmp_path, value):
+        path = write(tmp_path, f"# weights\nweights = {value}\n")
+        with pytest.raises(ConfigFormatError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:2: weights must be a list of 4 numbers"
+
+    def test_oversized_integer_weight_names_the_line(self, tmp_path):
+        path = write(tmp_path, "weights = [" + "9" * 400 + ", 0, 0, 0]\n")
+        with pytest.raises(ConfigFormatError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:1: int too large to convert to float"
+
+    def test_integer_weights_accepted(self, tmp_path):
+        path = write(tmp_path, "weights = [1, 0, 0, 0]\n")
+        assert load_config(path).weights.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+
+    def test_unknown_key_message_prefixed_once(self, tmp_path):
+        path = write(tmp_path, "k9 = 1.0\n")
+        with pytest.raises(ConfigFormatError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:1: unknown setting 'k9'"
     def test_weights_must_sum_to_one(self, tmp_path):
         path = write(tmp_path, "weights = [0.5, 0.5, 0.5, 0.5]\n")
         with pytest.raises(ConfigFormatError, match="sum"):

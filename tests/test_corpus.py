@@ -10,11 +10,9 @@ from types import MappingProxyType
 import pytest
 
 from docgraph.corpus import (
-    ConceptMention,
     Corpus,
     CorpusStats,
     Document,
-    StatementExtraction,
     concept_coverage,
     concept_idf,
     concept_tf,
@@ -33,8 +31,8 @@ def make_doc(doc_id="D", length=100, mentions=(), statements=()):
         doc_id,
         length,
         [],
-        [ConceptMention(c, s, e) for c, s, e in mentions],
-        [StatementExtraction(s, p, o, conf, 0) for s, p, o, conf in statements],
+        mentions,
+        [(s, p, o, conf, 0) for s, p, o, conf in statements],
     )
 
 
@@ -189,9 +187,9 @@ class TestRecordValidation:
     def test_integer_confidence_is_a_float(self, confidence):
         record = valid_record()
         record["statements"][0]["confidence"] = confidence
-        (extraction,) = parse_document_record(record).extractions
-        assert extraction.confidence == confidence
-        assert type(extraction.confidence) is float
+        ((_, _, _, parsed, _),) = parse_document_record(record).extractions
+        assert parsed == confidence
+        assert type(parsed) is float
 
     def test_mapping_proxy_record(self):
         record = valid_record()
@@ -275,8 +273,9 @@ class TestRecordFuzz:
             outcomes["parsed"] += 1
             (doc,) = corpus.documents()
             best = {}
-            for ex in doc.extractions:
-                best[ex.edge] = max(best.get(ex.edge, ex.confidence), ex.confidence)
+            for subject, predicate, obj, confidence, _ in doc.extractions:
+                edge = (subject, predicate, obj)
+                best[edge] = max(best.get(edge, confidence), confidence)
             assert doc.edges == best
             assert doc.sorted_edges == tuple(sorted(best))
             again = parse_document_record(document_to_record(doc))
