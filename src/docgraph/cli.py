@@ -11,11 +11,12 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bm25 import bm25_rerank, bm25_retrieve
 from .config import RankingConfig, load_config
-from .errors import DocGraphError, InconsistencyError, InputError, make_output_dir, read_input_text
+from .errors import DocGraphError, InconsistencyError, InputError, make_output_dir
+from .errors import read_input_text, write_output
 from .evaluation import METRIC_KEYS, MetricReport, Run, evaluate, load_qrels
 from .matcher import Fragment, retrieve
 from .ontology import Ontology, expand_query_upwards, load_ontology
@@ -264,24 +265,11 @@ def cmd_evaluate(args, ctx: _Context) -> int:
         run.write(out_dir / f"run-{tag}.txt")
         report = evaluate(run, qrels, excluded=excluded)
         reports[tag] = report
-        payload["modes"][tag] = {
-            "name": name,
-            "means": report.means,
-            "per_topic": {
-                topic_id: {
-                    "metrics": dict(tm.metrics),
-                    "judged": tm.judged,
-                    "unjudged": tm.unjudged,
-                }
-                for topic_id, tm in report.per_topic.items()
-            },
-            "skipped_topics": list(report.skipped_topics),
-            "excluded_topics": [list(item) for item in report.excluded_topics],
-        }
+        entry = asdict(report)
+        del entry["tag"]
+        payload["modes"][tag] = {**entry, "name": name}
     payload["translation_scores"] = translation_scores
-    (out_dir / "metrics.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_output(out_dir / "metrics.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     labels = {
         "recall@1000": "Recall@1000",

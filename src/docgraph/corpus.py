@@ -43,10 +43,10 @@ class Document:
     Both follow the corpus record's field order. The token list is only
     consumed by the BM25 baseline. The graph is ``edges``: each distinct
     (subject, predicate, object) triple maps to the maximum confidence over
-    the extractions that state it; ``sorted_edges`` lists the same triples
-    in lexicographic order. ``coverage`` maps each mentioned concept to the
-    spread of its mentions: the distance between its last and first mention
-    starts over ``text_length``.
+    the extractions that state it, filled in lexicographic edge order, so
+    every reader iterates the edges in that one order. ``coverage`` maps
+    each mentioned concept to the spread of its mentions: the distance
+    between its last and first mention starts over ``text_length``.
     """
 
     __slots__ = (
@@ -59,7 +59,6 @@ class Document:
         "max_concept_count",
         "coverage",
         "edges",
-        "sorted_edges",
     )
 
     def __init__(
@@ -124,8 +123,7 @@ class Document:
             best = edges.get(edge)
             if best is None or confidence > best:
                 edges[edge] = confidence
-        self.edges = edges
-        self.sorted_edges: tuple[Edge, ...] = tuple(sorted(edges))
+        self.edges = dict(sorted(edges.items()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Document({self.doc_id!r}, {len(self.mentions)} mentions, {len(self.extractions)} statements)"

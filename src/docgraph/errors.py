@@ -1,5 +1,5 @@
 """Exception types shared across the engine, the input-file reader and the
-output-directory maker."""
+output-directory and output-file writers."""
 
 from pathlib import Path
 
@@ -75,3 +75,11 @@ def make_output_dir(path: str | Path) -> Path:
     except OSError as exc:
         raise InputError(f"cannot create output directory {path}: {exc}") from exc
     return Path(path)
+
+
+def write_output(path: str | Path, data: str | bytes) -> None:
+    """Write an output file, text as UTF-8, or InputError naming the file."""
+    try:
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path}: {exc}") from exc

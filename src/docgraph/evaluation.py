@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, QrelsFormatError, read_input_text
+from .errors import InputError, QrelsFormatError, read_input_text, write_output
 
 METRIC_KEYS = (
     "recall@1000",
@@ -122,7 +122,7 @@ class Run:
         for topic_id, entries in self._topics.items():
             for rank, (doc_id, score) in enumerate(entries, start=1):
                 lines.append(f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {self.tag}")
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        write_output(path, "\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
     def read(cls, path: str | Path) -> "Run":

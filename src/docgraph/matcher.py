@@ -52,8 +52,9 @@ class FragmentList(list):
 class StatementIndex:
     """Inverted indexes over the edges and concepts of a corpus's documents.
 
-    - pair: unordered {a, b} -> sorted (doc id, directed edge) entries, so
-      each document edge is held once, under its two concepts
+    - pair: sorted concept pair ``(a, b)``, ``a < b`` -> sorted (doc id,
+      directed edge) entries, so each document edge is held once, under its
+      two concepts in either direction
     - concept_docs: concept id -> doc ids mentioning it
     """
 
@@ -61,7 +62,7 @@ class StatementIndex:
 
     def __init__(
         self,
-        pair: dict[frozenset[str], tuple[tuple[str, Edge], ...]],
+        pair: dict[tuple[str, str], tuple[tuple[str, Edge], ...]],
         concept_docs: dict[str, frozenset[str]],
     ):
         self.pair = pair
@@ -69,13 +70,14 @@ class StatementIndex:
 
 
 def build_statement_index(corpus: Corpus) -> StatementIndex:
-    pair: dict[frozenset[str], list[tuple[str, Edge]]] = {}
+    pair: dict[tuple[str, str], list[tuple[str, Edge]]] = {}
     concept_docs: dict[str, set[str]] = {}
     for doc in corpus.documents():
         doc_id = doc.doc_id
-        for edge in doc.sorted_edges:
+        for edge in doc.edges:
             subject, _, obj = edge
-            pair.setdefault(frozenset((subject, obj)), []).append((doc_id, edge))
+            key = (subject, obj) if subject < obj else (obj, subject)
+            pair.setdefault(key, []).append((doc_id, edge))
         for concept in doc.concept_counts:
             concept_docs.setdefault(concept, set()).add(doc_id)
     return StatementIndex(
@@ -118,7 +120,7 @@ def matches(query: NarrativeQuery, doc: Document) -> FragmentList:
             return FragmentList()
         opts = [
             (edge, s_concept, o_concept)
-            for edge in doc.sorted_edges
+            for edge in doc.edges
             for s_concept, o_concept in _pattern_orientations(pattern, edge)
         ]
         if not opts:
@@ -225,7 +227,7 @@ def _pattern_fragments(
     seen_pairs = set()
     for s in sorted(pattern.subject.concept_ids()):
         for o in sorted(pattern.object.concept_ids()):
-            key = frozenset((s, o))
+            key = (s, o) if s < o else (o, s)
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)

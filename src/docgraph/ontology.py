@@ -17,7 +17,8 @@ from .query import ConceptSet, DisjunctiveQuery, ExpandedConcept, with_derived_c
 
 
 class Ontology:
-    """Immutable parent/child index over concept ids."""
+    """Immutable parent/child index over concept ids; each concept's parents
+    and its children are held once, as a sorted tuple that walks read as is."""
 
     def __init__(self, parent_edges: Iterable[tuple[str, str]]):
         parents: dict[str, set[str]] = {}
@@ -27,8 +28,8 @@ class Ontology:
                 raise OntologyFormatError(f"self-parent edge on {child!r}")
             parents.setdefault(child, set()).add(parent)
             children.setdefault(parent, set()).add(child)
-        self._parents = {c: frozenset(ps) for c, ps in parents.items()}
-        self._children = {p: frozenset(cs) for p, cs in children.items()}
+        self._parents = {c: tuple(sorted(ps)) for c, ps in parents.items()}
+        self._children = {p: tuple(sorted(cs)) for p, cs in children.items()}
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -67,17 +68,17 @@ class Ontology:
         return self._hops(concept_id, self._parents)
 
     @staticmethod
-    def _hops(concept_id: str, links: dict[str, frozenset[str]]) -> dict[str, int]:
+    def _hops(concept_id: str, links: dict[str, tuple[str, ...]]) -> dict[str, int]:
         """Breadth-first hop count to every node reachable along ``links``,
-        neighbours visited in sorted order."""
+        neighbours visited in their sorted link order."""
         distances: dict[str, int] = {}
-        frontier = deque((node, 1) for node in sorted(links.get(concept_id, ())))
+        frontier = deque((node, 1) for node in links.get(concept_id, ()))
         while frontier:
             node, hops = frontier.popleft()
             if node in distances:
                 continue
             distances[node] = hops
-            frontier.extend((nxt, hops + 1) for nxt in sorted(links.get(node, ())))
+            frontier.extend((nxt, hops + 1) for nxt in links.get(node, ()))
         return distances
 
     def ontological_sim(self, a: str, b: str) -> float:

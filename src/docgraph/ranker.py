@@ -181,7 +181,7 @@ def neighbor_edges(edge: Edge, doc: Document) -> tuple[Edge, ...]:
     endpoint_set = {subject, obj}
     return tuple(
         other
-        for other in doc.sorted_edges
+        for other in doc.edges
         if {other[0], other[2]} != endpoint_set
         and (other[0] in endpoint_set or other[2] in endpoint_set)
     )

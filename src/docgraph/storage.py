@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bm25 import TextIndex, build_text_index
 from .corpus import Corpus, document_to_record, paused_gc, parse_corpus
-from .errors import InputError, make_output_dir
+from .errors import InputError, make_output_dir, write_output
 from .matcher import StatementIndex, build_statement_index
 
 FORMAT_VERSION = 2
@@ -45,7 +45,7 @@ def save_index(out_dir: str | Path, corpus: Corpus) -> Path:
         _json(document_to_record(corpus.document(doc_id))) + "\n"
         for doc_id in corpus.doc_ids
     ).encode("utf-8")
-    (directory / DOCUMENTS_FILE).write_bytes(documents)
+    write_output(directory / DOCUMENTS_FILE, documents)
 
     manifest_path = directory / MANIFEST_FILE
     manifest = {
@@ -54,7 +54,7 @@ def save_index(out_dir: str | Path, corpus: Corpus) -> Path:
         "documents_bytes": len(documents),
         "documents_sha256": hashlib.sha256(documents).hexdigest(),
     }
-    manifest_path.write_text(_json(manifest) + "\n", encoding="utf-8")
+    write_output(manifest_path, _json(manifest) + "\n")
     return manifest_path
 
 

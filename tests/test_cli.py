@@ -203,24 +203,48 @@ def test_bad_search_tag_rejected_before_loading(fix1_index_dir, tmp_path, capsys
 
 
 
+def fix1_command(command, index_dir, out):
+    """A fix1 ``index``, ``search`` or ``evaluate`` command line writing to ``out``."""
+    argv = {
+        "index": ["--corpus", FIXTURES / "fix1_corpus.jsonl",
+                  "--vocab", FIXTURES / "fix1_vocabulary.tsv"],
+        "search": [*fix1_args(index_dir=index_dir), "--keywords", "metformin | diabetes"],
+        "evaluate": [*fix1_args(index_dir=index_dir),
+                     "--topics", FIXTURES / "fix1_topics.tsv",
+                     "--qrels", FIXTURES / "fix1_qrels.txt"],
+    }[command]
+    return [command, *map(str, argv), "--out", str(out)]
+
+
 @pytest.mark.parametrize("command", ["index", "search", "evaluate"])
 def test_out_on_existing_file_exits_one(command, fix1_index_dir, tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("not a directory\n")
-    argv = {
-        "index": ["--corpus", FIXTURES / "fix1_corpus.jsonl",
-                  "--vocab", FIXTURES / "fix1_vocabulary.tsv"],
-        "search": [*fix1_args(index_dir=fix1_index_dir), "--keywords", "metformin | diabetes"],
-        "evaluate": [*fix1_args(index_dir=fix1_index_dir),
-                     "--topics", FIXTURES / "fix1_topics.tsv",
-                     "--qrels", FIXTURES / "fix1_qrels.txt"],
-    }[command]
-    assert main([command, *map(str, argv), "--out", str(out)]) == 1
+    assert main(fix1_command(command, fix1_index_dir, out)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"docgraph: error: cannot create output directory {out}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("index", "documents.jsonl"),
+        ("evaluate", "metrics.json"),
+        ("evaluate", "run-full-graphrank.txt"),
+    ],
+)
+def test_unwritable_output_file_exits_one(command, blocked, fix1_index_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(fix1_command(command, fix1_index_dir, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"docgraph: error: cannot write output file {out / blocked}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
 
 def test_duplicate_doc_id_names_file_and_lines(tmp_path, capsys):
     first = (FIXTURES / "fix1_corpus.jsonl").read_text().splitlines()[0]
@@ -692,3 +716,56 @@ class TestSyntheticBenchmark:
             for topic_metrics in mode["per_topic"].values():
                 for value in topic_metrics["metrics"].values():
                     assert 0.0 <= value <= 1.0
+
+
+def index_and_evaluate(paths, corpus, topics, out):
+    """Index ``corpus`` and evaluate ``topics`` over it in every mode; returns
+    the evaluate output directory."""
+    assert main(
+        ["index", "--corpus", str(corpus), "--vocab", str(paths["vocabulary"]),
+         "--out", str(out / "ix")]
+    ) == 0
+    assert main(
+        ["evaluate", "--index", str(out / "ix"), "--vocab", str(paths["vocabulary"]),
+         "--ontology", str(paths["ontology"]), "--config", str(paths["config"]),
+         "--topics", str(topics), "--qrels", str(paths["qrels"]), "--expand-ontology",
+         "--match", "full", "--match", "partial",
+         "--ranker", "graphrank", "--ranker", "bm25-rerank", "--ranker", "bm25-native",
+         "--out", str(out / "eval")]
+    ) == 0
+    return out / "eval"
+
+
+class TestInputOrder:
+    """Rankings and metrics follow from the inputs' content, not their line order."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("order")
+        paths = write_benchmark(
+            root / "bench", random.Random(907), n_docs=120, n_concepts=20, n_topics=8
+        )
+        return paths, index_and_evaluate(paths, paths["corpus"], paths["topics"], root / "base")
+
+    def test_shuffled_corpus_lines_give_identical_outputs(self, bundle, tmp_path):
+        paths, base = bundle
+        lines = paths["corpus"].read_text().splitlines(keepends=True)
+        random.Random(5).shuffle(lines)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines))
+        shuffled = index_and_evaluate(paths, corpus, paths["topics"], tmp_path)
+        assert sorted(p.name for p in shuffled.iterdir()) == sorted(p.name for p in base.iterdir())
+        for path in base.iterdir():
+            assert (shuffled / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_reversed_topics_give_the_same_run_lines(self, bundle, tmp_path):
+        paths, base = bundle
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("".join(reversed(paths["topics"].read_text().splitlines(keepends=True))))
+        reversed_out = index_and_evaluate(paths, paths["corpus"], topics, tmp_path)
+        runs = sorted(p.name for p in base.glob("run-*.txt"))
+        assert len(runs) == 5
+        for name in runs:
+            lines = (base / name).read_text().splitlines()
+            assert len(set(line.split()[0] for line in lines)) > 1
+            assert sorted((reversed_out / name).read_text().splitlines()) == sorted(lines)

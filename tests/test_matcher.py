@@ -1,12 +1,13 @@
 """Statement index, fragment enumeration, and Full/Partial retrieval."""
 
+import gc
 import random
 
 import pytest
 
 from docgraph import matcher
 from docgraph.matcher import build_statement_index, matches, retrieve
-from docgraph.corpus import Corpus
+from docgraph.corpus import Corpus, Document
 from docgraph.query import (
     ConceptSet,
     DisjunctiveQuery,
@@ -37,7 +38,7 @@ def fix1_index(fix1_corpus):
 
 class TestStatementIndex:
     def test_pair_postings(self, fix1_index):
-        entries = set(fix1_index.pair[frozenset(("M", "DM"))])
+        entries = set(fix1_index.pair[("DM", "M")])
         assert entries == {
             ("D-A", ("M", "treats", "DM")),
             ("D-B", ("M", "associated", "DM")),
@@ -56,15 +57,25 @@ class TestStatementIndex:
             (doc_id, edge)
             for key, entries in fix1_index.pair.items()
             for doc_id, edge in entries
-            if key == frozenset((edge[0], edge[2]))
+            if key == tuple(sorted((edge[0], edge[2])))
         ]
         in_graphs = [
             (doc_id, edge)
             for doc_id in fix1_corpus.doc_ids
-            for edge in fix1_corpus.document(doc_id).sorted_edges
+            for edge in fix1_corpus.document(doc_id).edges
         ]
         assert sorted(indexed) == sorted(in_graphs)
         assert all(list(entries) == sorted(entries) for entries in fix1_index.pair.values())
+
+    def test_long_lived_tables_are_untracked(self, fix1_corpus, fix1_ontology):
+        # A full collection stops tracking a tuple that holds only strings, but
+        # never a frozenset, which every later full collection walks again.
+        index = build_statement_index(fix1_corpus)
+        gc.collect()
+        assert index.pair and not any(gc.is_tracked(key) for key in index.pair)
+        links = [*fix1_ontology._parents.values(), *fix1_ontology._children.values()]
+        assert links and not any(gc.is_tracked(link) for link in links)
+        assert "sorted_edges" not in Document.__slots__
 
 
 class TestMatches:
@@ -381,7 +392,7 @@ class TestOracleEquivalence:
             )
             result = retrieve(query, index, corpus, scope)
             doc_edges = {
-                doc_id: corpus.document(doc_id).sorted_edges for doc_id in corpus.doc_ids
+                doc_id: corpus.document(doc_id).edges for doc_id in corpus.doc_ids
             }
             expected_full, expected_partial = oracle_retrieve(query, doc_edges, scope)
             assert set(result.full) == set(expected_full)
@@ -433,7 +444,7 @@ class TestOracleEquivalence:
                 graph = corpus.document(doc_id)
                 got = matches(alternative, graph)
                 assert not got.truncated
-                expected = oracle_matches(alternative, graph.sorted_edges)
+                expected = oracle_matches(alternative, graph.edges)
                 assert sorted(f.edges for f in got) == sorted(expected)
                 checked += 1
         assert checked > 50

@@ -269,10 +269,10 @@ class TestMinSemantics:
             corpus = corpus_from_raw(raw)
             for doc_id in corpus.doc_ids:
                 graph = corpus.document(doc_id)
-                if len(graph.sorted_edges) < 2:
+                if len(graph.edges) < 2:
                     continue
-                k = rng.randint(2, min(4, len(graph.sorted_edges)))
-                edges = tuple(rng.sample(graph.sorted_edges, k))
+                k = rng.randint(2, min(4, len(graph.edges)))
+                edges = tuple(rng.sample(tuple(graph.edges), k))
                 fragment = self_bound(doc_id, *edges)
                 doc = corpus.document(doc_id)
                 drop = rng.randrange(k)
@@ -614,9 +614,9 @@ class TestEdgeRows:
             ]
             by_concept = self_query(concepts)
             for doc in corpus.documents():
-                if len(doc.sorted_edges) >= 2:
-                    k = rng.randint(2, min(4, len(doc.sorted_edges)))
-                    edges = rng.sample(doc.sorted_edges, k)
+                if len(doc.edges) >= 2:
+                    k = rng.randint(2, min(4, len(doc.edges)))
+                    edges = rng.sample(tuple(doc.edges), k)
                     cases.append((self_bound(doc.doc_id, *edges), by_concept))
             rng.shuffle(cases)
             assert corpus.ranking_cache == (None, {})
