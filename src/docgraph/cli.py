@@ -8,7 +8,6 @@ index artifacts and run files. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -39,7 +38,7 @@ from .ranker import (
 )
 from .storage import LoadedIndex, load_index, save_index
 from .vocabulary import Vocabulary, load_vocabulary
-from .corpus import ingest_documents, paused_gc
+from .corpus import ingest_documents
 
 RANKERS = ("graphrank", "bm25-rerank", "bm25-native", "none")
 
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    froze = False
     try:
         if args.func is cmd_index:
             return cmd_index(args)
@@ -366,23 +364,13 @@ def main(argv=None) -> int:
             raise InputError(f"cutoff must be >= 1, got {args.cutoff}")
         if getattr(args, "tag", None):
             Run(args.tag)  # raises on a tag that no run file could carry
-        with paused_gc():
-            ctx = _load_context(args)
-            # The context lives until the command returns; freezing it keeps later
-            # collections from walking the corpus. A host's frozen heap is left alone.
-            froze = not gc.get_freeze_count()
-            if froze:
-                gc.freeze()
-        return args.func(args, ctx)
+        return args.func(args, _load_context(args))
     except InconsistencyError as exc:
         print(f"docgraph: internal inconsistency: {exc}", file=sys.stderr)
         return 2
     except DocGraphError as exc:
         print(f"docgraph: error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if froze:
-            gc.unfreeze()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,6 +1,6 @@
 """Shared ranking configuration: weights, predicate taxonomy, BM25 params.
 
-File format, one directive per line:
+File format, one directive per line, each setting or predicate at most once:
 
     weights = [0.25, 0.25, 0.25, 0.25]
     k1 = 1.2
@@ -35,9 +35,9 @@ def load_config(source: str | Path) -> RankingConfig:
     text = read_input_text(path, "config", ConfigFormatError)
 
     weights = None
-    k1 = None
-    b = None
+    bm25: dict[str, float] = {}
     levels: dict[str, int] = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -58,14 +58,13 @@ def load_config(source: str | Path) -> RankingConfig:
                     ):
                         raise ConfigFormatError("weights must be a list of 4 numbers")
                     weights = Weights(*[float(v) for v in parsed])
-                elif key == "k1":
-                    k1 = float(value)
-                elif key == "b":
-                    b = float(value)
+                elif key in ("k1", "b"):
+                    bm25[key] = float(value)
                 else:
                     raise ConfigFormatError(f"unknown setting {key!r}")
             except (ValueError, OverflowError, InputError) as exc:
                 raise ConfigFormatError(f"{where}: {exc}") from None
+            directive = f"setting {key!r}"
         elif "\t" in line:
             parts = [p.strip() for p in line.split("\t")]
             if len(parts) != 2 or not all(parts):
@@ -79,22 +78,21 @@ def load_config(source: str | Path) -> RankingConfig:
                 raise ConfigFormatError(
                     f"{where}: taxonomy level {level_text!r} is not an integer"
                 ) from None
+            directive = f"predicate {label!r}"
         else:
             raise ConfigFormatError(f"{where}: unrecognized directive {raw!r}")
+        first = first_lines.setdefault(directive, lineno)
+        if first != lineno:
+            raise ConfigFormatError(f"{where}: duplicate {directive} (first on line {first})")
 
     try:
         taxonomy = (
             PredicateTaxonomy.from_levels(levels) if levels else PredicateTaxonomy.default()
         )
-        params = {}
-        if k1 is not None:
-            params["k1"] = k1
-        if b is not None:
-            params["b"] = b
         return RankingConfig(
             weights=weights if weights is not None else Weights(),
             taxonomy=taxonomy,
-            bm25=BM25Params(**params),
+            bm25=BM25Params(**bm25),
         )
     except InputError as exc:
         raise ConfigFormatError(f"{path}: {exc}") from None

@@ -12,11 +12,9 @@ ranking cache fills lazily, with values that do not depend on who fills them.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -289,47 +287,30 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-@contextmanager
-def paused_gc():
-    """Pause the cyclic GC in the block; restore the caller's state, even on error.
-
-    A corpus build allocates hundreds of thousands of containers and frees
-    none, so each automatic collection would re-walk the growing corpus.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def parse_corpus(text: str, path: Path) -> Corpus:
     """Build a Corpus from the text of a line-delimited JSON corpus file.
 
     The first malformed record, or the second record of a doc id, aborts
     with ``path`` and its line number.
     """
-    with paused_gc():
-        documents = []
-        first_lines: dict[str, int] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-            doc = parse_document_record(record, where)
-            first = first_lines.setdefault(doc.doc_id, lineno)
-            if first != lineno:
-                raise CorpusFormatError(
-                    f"{where}: duplicate doc_id {doc.doc_id!r} (first on line {first})"
-                )
-            documents.append(doc)
-        return Corpus(documents)
+    documents = []
+    first_lines: dict[str, int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+        doc = parse_document_record(record, where)
+        first = first_lines.setdefault(doc.doc_id, lineno)
+        if first != lineno:
+            raise CorpusFormatError(
+                f"{where}: duplicate doc_id {doc.doc_id!r} (first on line {first})"
+            )
+        documents.append(doc)
+    return Corpus(documents)
 
 
 def ingest_documents(source: str | Path) -> Corpus:

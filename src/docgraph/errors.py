@@ -1,6 +1,8 @@
 """Exception types shared across the engine, the input-file reader and the
 output-directory and output-file writers."""
 
+import contextlib
+import os
 from pathlib import Path
 
 
@@ -78,8 +80,17 @@ def make_output_dir(path: str | Path) -> Path:
 
 
 def write_output(path: str | Path, data: str | bytes) -> None:
-    """Write an output file, text as UTF-8, or InputError naming the file."""
+    """Write an output file, text as UTF-8, or InputError naming the file.
+
+    The bytes go to a sibling temporary file that then replaces ``path``, so a
+    failed write leaves an existing file whole and no temporary file behind.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.tmp")
     try:
-        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        temporary.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(temporary, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            temporary.unlink(missing_ok=True)
         raise InputError(f"cannot write output file {path}: {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bm25 import TextIndex, build_text_index
-from .corpus import Corpus, document_to_record, paused_gc, parse_corpus
+from .corpus import Corpus, document_to_record, parse_corpus
 from .errors import InputError, make_output_dir, write_output
 from .matcher import StatementIndex, build_statement_index
 
@@ -97,15 +97,14 @@ def load_index(index_dir: str | Path) -> LoadedIndex:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read index file {path}: {exc}") from None
 
-    with paused_gc():
-        corpus = parse_corpus(text, path)
-        if corpus.doc_count != manifest.get("doc_count"):
-            raise InputError(
-                f"index manifest {manifest_path} records doc_count "
-                f"{manifest.get('doc_count')!r}, but {path} holds {corpus.doc_count}"
-            )
-        return LoadedIndex(
-            corpus=corpus,
-            statement_index=build_statement_index(corpus),
-            text_index=build_text_index(corpus),
+    corpus = parse_corpus(text, path)
+    if corpus.doc_count != manifest.get("doc_count"):
+        raise InputError(
+            f"index manifest {manifest_path} records doc_count "
+            f"{manifest.get('doc_count')!r}, but {path} holds {corpus.doc_count}"
         )
+    return LoadedIndex(
+        corpus=corpus,
+        statement_index=build_statement_index(corpus),
+        text_index=build_text_index(corpus),
+    )

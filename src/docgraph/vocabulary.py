@@ -212,17 +212,16 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
                 f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
             )
         concept_id, concept_type, synonyms = (p.strip() for p in parts)
-        try:
-            entries.append(
-                ConceptEntry(
-                    concept_id=concept_id,
-                    concept_type=concept_type,
-                    preferred_label="",
-                    synonyms=tuple(synonyms.split("|")),
-                )
+        if not concept_id:
+            raise VocabularyFormatError(f"{path}:{lineno}: empty concept_id")
+        entries.append(
+            ConceptEntry(
+                concept_id=concept_id,
+                concept_type=concept_type,
+                preferred_label="",
+                synonyms=tuple(synonyms.split("|")),
             )
-        except VocabularyFormatError as exc:
-            raise VocabularyFormatError(f"{path}:{lineno}: {exc}") from None
+        )
     try:
         return Vocabulary(entries)
     except VocabularyFormatError as exc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 import re
 from pathlib import Path
@@ -246,6 +247,28 @@ def test_unwritable_output_file_exits_one(command, blocked, fix1_index_dir, tmp_
     assert captured.out == ""
 
 
+def test_failed_replace_keeps_existing_output(fix1_index_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics.json").write_bytes(b"earlier metrics\n")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "metrics.json":
+            raise OSError("injected failure")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(fix1_command("evaluate", fix1_index_dir, out)) == 1
+    captured = capsys.readouterr()
+    metrics = out / "metrics.json"
+    assert captured.err == f"docgraph: error: cannot write output file {metrics}: injected failure\n"
+    assert metrics.read_bytes() == b"earlier metrics\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics.json", "run-full-graphrank.txt", "run-partial-graphrank.txt",
+    ]
+
+
 def test_duplicate_doc_id_names_file_and_lines(tmp_path, capsys):
     first = (FIXTURES / "fix1_corpus.jsonl").read_text().splitlines()[0]
     corpus = tmp_path / "dup.jsonl"
@@ -256,6 +279,18 @@ def test_duplicate_doc_id_names_file_and_lines(tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"docgraph: error: {corpus}:2: duplicate doc_id 'D-A' (first on line 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["index", "search"])
+def test_empty_concept_id_exits_one(command, fix1_index_dir, tmp_path, capsys):
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text((FIXTURES / "fix1_vocabulary.tsv").read_text() + "\tdisease\tdiabetes mellitus\n")
+    out = tmp_path / "out"
+    assert main([*fix1_command(command, fix1_index_dir, out), "--vocab", str(vocab)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"docgraph: error: {vocab}:4: empty concept_id\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

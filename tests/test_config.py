@@ -1,5 +1,6 @@
 """Ranking configuration file parsing."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,23 @@ class TestLoadConfig:
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = write(tmp_path, "# comment\n\nweights = [1.0, 0, 0, 0]  # trailing\n")
         assert load_config(path).weights.confidence == 1.0
+
+    @pytest.mark.parametrize(
+        "text, directive",
+        [
+            ("k1 = 1.2\nk1 = 0.9\n", "setting 'k1'"),
+            ("b = 0.75\nk1 = 1.2\nb=0.5\n", "setting 'b'"),
+            ("weights = [1, 0, 0, 0]\nweights = [0, 1, 0, 0]\n", "setting 'weights'"),
+            ("treats\t1\ntreats\t2\n", "predicate 'treats'"),
+        ],
+        ids=["k1", "b", "weights", "predicate"],
+    )
+    def test_repeated_directive_rejected(self, tmp_path, text, directive):
+        path = write(tmp_path, text)
+        last = text.count("\n")
+        message = f"{path}:{last}: duplicate {directive} (first on line 1)"
+        with pytest.raises(ConfigFormatError, match=f"^{re.escape(message)}$"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, "k9 = 1.0\n")

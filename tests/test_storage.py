@@ -1,4 +1,5 @@
-"""Index directory: checksummed loading, fault injection, and the host's GC state."""
+"""Index directory: checksummed loading, fault injection, and loads and commands
+that leave the host's GC settings as they found them."""
 
 import gc
 import json
@@ -11,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from docgraph import cli
 from docgraph.cli import main
 from docgraph.corpus import ingest_documents
 from docgraph.errors import CorpusFormatError, InputError
@@ -137,8 +137,9 @@ def host_gc(request):
 
 
 class TestHostGcState:
-    """Loading pauses the collector and the CLI freezes its context, but the
-    caller's collector settings are the same after each call as before it."""
+    """No load or CLI call changes the caller's collector settings: whether it
+    is enabled and how many objects it holds frozen are the same after each
+    call, successful or failed, as before it."""
 
     def test_ingest_documents(self, host_gc):
         before = gc_state()
@@ -159,7 +160,7 @@ class TestHostGcState:
         assert gc_state() == before
 
     def test_load_index_error(self, host_gc, index_copy):
-        # Raised after the corpus is built, inside the paused block.
+        # Raised after the corpus is built.
         manifest_path = index_copy / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps({**manifest, "doc_count": 3}))
@@ -178,16 +179,3 @@ class TestHostGcState:
         code = main(evaluate_args(built_index, tmp_path / "eval", qrels=tmp_path / "none.txt"))
         assert code == 1
         assert gc_state() == before
-
-    def test_cli_freezes_loaded_context(self, built_index, tmp_path, monkeypatch):
-        seen = []
-
-        def parse_topics_file(path):
-            seen.append(gc.get_freeze_count())
-            return original(path)
-
-        original = cli.parse_topics_file
-        monkeypatch.setattr(cli, "parse_topics_file", parse_topics_file)
-        assert main(evaluate_args(built_index, tmp_path / "eval")) == 0
-        assert seen and seen[0] > 0
-        assert gc.get_freeze_count() == 0

@@ -1,6 +1,7 @@
 """Term translation: tokenization, Jaccard, containment lookup, detection."""
 
 import random
+import re
 
 import pytest
 
@@ -95,6 +96,12 @@ class TestLoadVocabulary:
     def test_unknown_type_rejected(self):
         with pytest.raises(VocabularyFormatError, match="unknown type"):
             Vocabulary([ConceptEntry("A", "chemical", "", ("x",))])
+
+    def test_empty_concept_id_rejected(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("M\tdrug\tmetformin\n \tdisease\tdiabetes mellitus\n")
+        with pytest.raises(VocabularyFormatError, match=f"^{re.escape(str(path))}:2: empty concept_id$"):
+            load_vocabulary(path)
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "v.tsv"
