@@ -5,9 +5,10 @@ Documents arrive pre-annotated: concept mentions with character offsets and
 both kept as plain tuples in their record's field order.
 The upstream NLP pipeline that produces these annotations is not part of this
 package. Each :class:`Document` is its own graph: one edge per distinct
-statement. After construction a :class:`Corpus` and everything hanging off it
-(documents, stats) is immutable and safe for concurrent readers; only its
-ranking cache fills lazily, with values that do not depend on who fills them.
+statement. A :class:`Corpus` owns the concept -> documents table. After
+construction it and everything hanging off it (documents, concept table,
+stats) is immutable and safe for concurrent readers; only its ranking cache
+fills lazily, with values that do not depend on who fills them.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ class Document:
             raise CorpusFormatError(f"text_length must be a positive integer, got {text_length!r}")
         self.doc_id = doc_id
         self.text_length = text_length
-        self.tokens = tuple(t.lower() for t in tokens)
+        try:
+            self.tokens = tuple(map(str.lower, tokens))
+        except TypeError:
+            raise CorpusFormatError("tokens must all be strings") from None
         self.mentions = tuple(mentions)
         self.extractions = tuple(extractions)
 
@@ -134,16 +138,6 @@ class CorpusStats:
     doc_count: int
     concept_df: Mapping[str, int]
 
-    @classmethod
-    def from_documents(cls, documents: Iterable[Document]) -> "CorpusStats":
-        df: dict[str, int] = {}
-        n = 0
-        for doc in documents:
-            n += 1
-            for concept in doc.concept_counts:
-                df[concept] = df.get(concept, 0) + 1
-        return cls(doc_count=n, concept_df=df)
-
 
 def concept_tf(concept_id: str, doc: Document) -> float:
     """Occurrence count of the concept divided by the document's maximum count."""
@@ -180,6 +174,8 @@ def concept_coverage(concept_id: str, doc: Document) -> float:
 class Corpus:
     """Immutable collection of documents, keyed by doc id, with statistics.
 
+    ``concept_docs`` maps each mentioned concept id to the frozenset of doc
+    ids that mention it; ``stats.concept_df`` holds its set sizes.
     ``ranking_cache`` is the one lazily filled part: GraphRank's per-edge rows
     as ``(taxonomy, {doc_id: {edge: row}})`` for one taxonomy at a time, filled
     by ``ranker`` on first read and dropped with the corpus. Concurrent fills
@@ -188,15 +184,16 @@ class Corpus:
 
     def __init__(self, documents: Iterable[Document]):
         self._documents: dict[str, Document] = {}
+        concept_docs: dict[str, list[str]] = {}
         for doc in documents:
             if doc.doc_id in self._documents:
                 raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
             self._documents[doc.doc_id] = doc
-        self.stats = CorpusStats.from_documents(self._documents.values())
+            for concept in doc.concept_counts:
+                concept_docs.setdefault(concept, []).append(doc.doc_id)
+        self.concept_docs = {c: frozenset(ids) for c, ids in concept_docs.items()}
+        self.stats = CorpusStats(len(self._documents), {c: len(d) for c, d in concept_docs.items()})
         self.ranking_cache: tuple[object, dict[str, dict[Edge, tuple]]] = (None, {})
-
-    def __len__(self) -> int:
-        return len(self._documents)
 
     @property
     def doc_count(self) -> int:
@@ -213,7 +210,7 @@ class Corpus:
         return iter(self._documents.values())
 
 
-def _require(record: Mapping, field: str, kind, where: str):
+def _require(record: dict, field: str, kind, where: str):
     if field not in record:
         raise CorpusFormatError(f"{where}: missing field {field!r}")
     value = record[field]
@@ -228,47 +225,43 @@ def _require(record: Mapping, field: str, kind, where: str):
     return value
 
 
-def _require_fields(entry: Mapping, fields: tuple[str, ...], kinds: tuple, where: str) -> tuple:
+def _require_fields(entry: dict, fields: tuple[str, ...], kinds: tuple, where: str) -> tuple:
     return tuple(_require(entry, field, kind, where) for field, kind in zip(fields, kinds))
 
 
-def parse_document_record(record: Mapping, where: str = "<record>") -> Document:
-    """Build a validated Document from one decoded corpus record.
+def parse_document_record(record: dict, where: str = "<record>") -> Document:
+    """Build a validated Document from one decoded JSON object.
 
-    Decoded JSON holds plain dicts of exact types, so each mention and
-    statement is first checked with ``type(x) is T``. An entry that fails
-    that check goes through the general ``_require``/``Mapping`` checks,
-    field by field in record order.
+    The record and each of its mentions and statements must be a ``dict``.
+    An entry whose fields all have their exact types becomes a tuple
+    directly; any other goes through ``_require_fields``, which coerces an
+    integer confidence to float or names the first bad field.
     """
-    if type(record) is not dict and not isinstance(record, Mapping):
+    if type(record) is not dict:
         raise CorpusFormatError(f"{where}: record must be a JSON object")
     doc_id = _require(record, "doc_id", str, where)
     text_length = _require(record, "text_length", int, where)
     tokens = _require(record, "tokens", list, where)
-    if not all(isinstance(t, str) for t in tokens):
-        raise CorpusFormatError(f"{where}: tokens must all be strings")
     mentions = []
     for m in _require(record, "mentions", list, where):
-        if type(m) is dict:
-            concept_id, start, end = m.get("concept_id"), m.get("start"), m.get("end")
-            if type(concept_id) is str and type(start) is type(end) is int:
-                mentions.append((concept_id, start, end))
-                continue
-        elif not isinstance(m, Mapping):
+        if type(m) is not dict:
             raise CorpusFormatError(f"{where}: mention entries must be objects")
+        concept_id, start, end = m.get("concept_id"), m.get("start"), m.get("end")
+        if type(concept_id) is str and type(start) is type(end) is int:
+            mentions.append((concept_id, start, end))
+            continue
         mentions.append(_require_fields(m, MENTION_FIELDS, (str, int, int), where))
     statements = []
     for s in _require(record, "statements", list, where):
-        if type(s) is dict:
-            subject, predicate, obj = s.get("subject"), s.get("predicate"), s.get("object")
-            confidence, sentence = s.get("confidence"), s.get("sentence")
-            if type(subject) is type(predicate) is type(obj) is str and (
-                type(confidence) is float and type(sentence) is int
-            ):
-                statements.append((subject, predicate, obj, confidence, sentence))
-                continue
-        elif not isinstance(s, Mapping):
+        if type(s) is not dict:
             raise CorpusFormatError(f"{where}: statement entries must be objects")
+        subject, predicate, obj = s.get("subject"), s.get("predicate"), s.get("object")
+        confidence, sentence = s.get("confidence"), s.get("sentence")
+        if type(subject) is type(predicate) is type(obj) is str and (
+            type(confidence) is float and type(sentence) is int
+        ):
+            statements.append((subject, predicate, obj, confidence, sentence))
+            continue
         statements.append(_require_fields(s, STATEMENT_FIELDS, (str, str, str, float, int), where))
     try:
         return Document(doc_id, text_length, tokens, mentions, statements)

@@ -57,10 +57,11 @@ class Qrels:
 
 
 def load_qrels(source: str | Path) -> Qrels:
-    """Load whitespace-separated ``topic_id 0 doc_id grade`` lines."""
+    """Load whitespace-separated ``topic_id 0 doc_id grade`` lines, one per (topic, doc)."""
     path = Path(source)
     text = read_input_text(path, "qrels", QrelsFormatError)
     grades: dict[str, dict[str, int]] = {}
+    first_lines: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -76,6 +77,12 @@ def load_qrels(source: str | Path) -> Qrels:
             raise QrelsFormatError(f"{path}:{lineno}: grade {grade_text!r} is not an integer") from None
         if grade < 0:
             raise QrelsFormatError(f"{path}:{lineno}: negative grade {grade}")
+        first = first_lines.setdefault((topic_id, doc_id), lineno)
+        if first != lineno:
+            raise QrelsFormatError(
+                f"{path}:{lineno}: duplicate judgment for topic {topic_id!r} "
+                f"and document {doc_id!r} (first on line {first})"
+            )
         grades.setdefault(topic_id, {})[doc_id] = grade
     return Qrels(grades)
 
@@ -126,9 +133,10 @@ class Run:
 
     @classmethod
     def read(cls, path: str | Path) -> "Run":
+        """Read a run file; every line must carry the first line's tag."""
         text = read_input_text(path, "run")
         grouped: dict[str, list[tuple[str, float]]] = {}
-        tag = "run"
+        tag, tag_line = "run", 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -137,7 +145,13 @@ class Run:
                 raise InputError(
                     f"{path}:{lineno}: expected 'topic Q0 doc rank score tag', got {line!r}"
                 )
-            topic_id, _, doc_id, _, score_text, tag = parts
+            topic_id, _, doc_id, _, score_text, line_tag = parts
+            if not tag_line:
+                tag, tag_line = line_tag, lineno
+            elif line_tag != tag:
+                raise InputError(
+                    f"{path}:{lineno}: run tag {line_tag!r} differs from {tag!r} on line {tag_line}"
+                )
             try:
                 score = float(score_text)
             except ValueError:

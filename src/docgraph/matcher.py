@@ -10,7 +10,8 @@ witnesses.
 holds each document edge once; ``_pattern_orientations`` is the one rule that
 binds an edge to a pattern. A lookup's documents are the pattern's candidates,
 which each alternative intersects and verifies by full enumeration; its
-fragments are the pattern's partial matches.
+fragments are the pattern's partial matches. A containment query reads only
+the corpus's concept -> documents table.
 """
 
 from __future__ import annotations
@@ -50,40 +51,28 @@ class FragmentList(list):
 
 
 class StatementIndex:
-    """Inverted indexes over the edges and concepts of a corpus's documents.
+    """The pair table over the edges of a corpus's documents.
 
-    - pair: sorted concept pair ``(a, b)``, ``a < b`` -> sorted (doc id,
-      directed edge) entries, so each document edge is held once, under its
-      two concepts in either direction
-    - concept_docs: concept id -> doc ids mentioning it
+    ``pair`` maps a sorted concept pair ``(a, b)``, ``a < b``, to sorted
+    (doc id, directed edge) entries, so each document edge is held once,
+    under its two concepts in either direction.
     """
 
-    __slots__ = ("pair", "concept_docs")
+    __slots__ = ("pair",)
 
-    def __init__(
-        self,
-        pair: dict[tuple[str, str], tuple[tuple[str, Edge], ...]],
-        concept_docs: dict[str, frozenset[str]],
-    ):
+    def __init__(self, pair: dict[tuple[str, str], tuple[tuple[str, Edge], ...]]):
         self.pair = pair
-        self.concept_docs = concept_docs
 
 
 def build_statement_index(corpus: Corpus) -> StatementIndex:
     pair: dict[tuple[str, str], list[tuple[str, Edge]]] = {}
-    concept_docs: dict[str, set[str]] = {}
     for doc in corpus.documents():
         doc_id = doc.doc_id
         for edge in doc.edges:
             subject, _, obj = edge
             key = (subject, obj) if subject < obj else (obj, subject)
             pair.setdefault(key, []).append((doc_id, edge))
-        for concept in doc.concept_counts:
-            concept_docs.setdefault(concept, set()).add(doc_id)
-    return StatementIndex(
-        pair={key: tuple(sorted(entries)) for key, entries in pair.items()},
-        concept_docs={c: frozenset(docs) for c, docs in concept_docs.items()},
-    )
+    return StatementIndex({key: tuple(sorted(entries)) for key, entries in pair.items()})
 
 
 def _pattern_orientations(
@@ -265,20 +254,19 @@ def retrieve(
 
     if query.is_containment:
         concept_set = query.components[0]
+        concept_docs = corpus.concept_docs
+        ids = sorted(c for c in concept_set.concept_ids() if c in concept_docs)
         candidates: set[str] = set()
-        for concept in concept_set.concept_ids():
-            candidates.update(index.concept_docs.get(concept, ()))
+        for concept in ids:
+            candidates.update(concept_docs[concept])
         full: dict[str, list[Fragment]] = {}
         for doc_id in sorted(candidates):
-            if not in_scope(doc_id):
-                continue
-            mentioned = corpus.document(doc_id).concept_counts
-            fragments = [
-                Fragment(doc_id, (), ((concept_set.node_id, concept),))
-                for concept in sorted(set(concept_set.concept_ids()) & mentioned.keys())
-            ]
-            if fragments:
-                full[doc_id] = fragments
+            if in_scope(doc_id):
+                full[doc_id] = [
+                    Fragment(doc_id, (), ((concept_set.node_id, concept),))
+                    for concept in ids
+                    if doc_id in concept_docs[concept]
+                ]
         return MatchResult(full=full, partial={})
 
     tables = {

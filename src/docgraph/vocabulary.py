@@ -2,8 +2,10 @@
 
 Lookup semantics follow containment: a concept is a candidate for a term when
 at least one of its synonyms contains every token of the term as a substring,
-so "mellitus diabetes" and "diabetes mellitus" resolve identically. Candidate
-synonyms are found through a character-trigram index and verified exactly.
+so "mellitus diabetes" and "diabetes mellitus" resolve identically; it is a
+translation only if that synonym also shares a whole token with the term (a
+positive Jaccard score), so "diab" translates to nothing. Candidate synonyms
+are found through a character-trigram index and verified exactly.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ class Vocabulary:
         """Resolve a term to concepts whose synonyms contain all its tokens.
 
         Each concept is scored by the maximum Jaccard similarity between the
-        term and its matching synonyms. Results are ordered by score
-        descending, then concept_id ascending. An empty result is a valid
-        outcome; an empty term resolves to nothing.
+        term and its matching synonyms; a synonym that shares no whole token
+        with the term scores 0 and is not a translation. Results are ordered
+        by score descending, then concept_id ascending. An empty result is a
+        valid outcome; an empty term resolves to nothing.
         """
         tokens = tokenize(term)
         if not tokens:
@@ -148,7 +151,7 @@ class Vocabulary:
                 continue
             score = _token_jaccard(query_tokens, self._syn_tokens[idx])
             current = best.get(entry.concept_id)
-            if current is None or score > current[0]:
+            if score > 0 and (current is None or score > current[0]):
                 best[entry.concept_id] = (score, self._syn_text[idx])
         return [
             ConceptTranslation(concept_id, score, synonym)

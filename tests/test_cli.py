@@ -96,7 +96,7 @@ class TestIndexCommand:
         corpus = ingest_documents(FIXTURES / "fix1_corpus.jsonl")
         rebuilt_stmt = build_statement_index(corpus)
         assert loaded.statement_index.pair == rebuilt_stmt.pair
-        assert loaded.statement_index.concept_docs == rebuilt_stmt.concept_docs
+        assert loaded.corpus.concept_docs == corpus.concept_docs
         rebuilt_text = build_text_index(corpus)
         assert loaded.text_index.postings == rebuilt_text.postings
         assert loaded.text_index.doc_lengths == rebuilt_text.doc_lengths
@@ -202,6 +202,13 @@ def test_bad_search_tag_rejected_before_loading(fix1_index_dir, tmp_path, capsys
     assert captured.out == ""
     assert not out.exists()
 
+
+def test_search_substring_only_keyword_exits_one(fix1_index_dir, capsys):
+    argv = ["search", *fix1_args(index_dir=fix1_index_dir), "--keywords", "diab | metformin"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "docgraph: error: component 'diab' matches no known concept\n"
+    assert captured.out == ""
 
 
 def fix1_command(command, index_dir, out):

@@ -172,6 +172,13 @@ class TestRun:
         with pytest.raises(InputError, match=expected):
             Run.read(path)
 
+    def test_read_rejects_mixed_tags(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("T1 Q0 D-A 1 1.0 tagA\nT1 Q0 D-B 2 0.5 tagB\n")
+        with pytest.raises(InputError) as info:
+            Run.read(path)
+        assert str(info.value) == f"{path}:2: run tag 'tagB' differs from 'tagA' on line 1"
+
 
 class TestEvaluate:
     def test_single_topic_hand_values(self):
@@ -262,3 +269,12 @@ class TestQrelsLoading:
         path.write_text("T1 A 1\n")
         with pytest.raises(QrelsFormatError, match="expected"):
             load_qrels(path)
+
+    def test_repeated_judgment(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("T1 0 D-A 2\nT2 0 D-A 1\nT1 0 D-A 0\n")
+        with pytest.raises(QrelsFormatError) as info:
+            load_qrels(path)
+        assert str(info.value) == (
+            f"{path}:3: duplicate judgment for topic 'T1' and document 'D-A' (first on line 1)"
+        )

@@ -44,13 +44,14 @@ class TestStatementIndex:
             ("D-B", ("M", "associated", "DM")),
         }
 
-    def test_concept_docs(self, fix1_index):
-        assert fix1_index.concept_docs["H"] == {"D-A"}
-        assert fix1_index.concept_docs["M"] == {"D-A", "D-B"}
+    def test_concept_docs(self, fix1_corpus):
+        assert fix1_corpus.concept_docs["H"] == {"D-A"}
+        assert fix1_corpus.concept_docs["M"] == {"D-A", "D-B"}
 
     def test_empty_corpus(self):
-        index = build_statement_index(Corpus([]))
-        assert index.pair == {} and index.concept_docs == {}
+        corpus = Corpus([])
+        index = build_statement_index(corpus)
+        assert index.pair == {} and corpus.concept_docs == {}
 
     def test_consistent_with_graphs(self, fix1_corpus, fix1_index):
         indexed = [
@@ -195,6 +196,39 @@ class TestRetrieve:
         assert result.partial == {}
         assert result.full["D-A"][0].edges == ()
         assert dict(result.full["D-A"][0].node_bindings) == {"h": "H"}
+
+    def test_containment_equals_brute_force(self):
+        # One fragment per mentioned query concept, in sorted concept order,
+        # for every in-scope document that mentions one; no other documents.
+        rng = random.Random(61)
+        for trial in range(40):
+            raw = random_raw_corpus(rng, max_docs=15, max_concepts=8, max_edges=4)
+            corpus = corpus_from_raw(raw)
+            for concept, doc_ids in corpus.concept_docs.items():
+                assert len(doc_ids) == corpus.stats.concept_df[concept]
+            assert corpus.concept_docs.keys() == corpus.stats.concept_df.keys()
+            concepts = sorted({c for d in raw.values() for c in d["mentions"]})
+            chosen = rng.sample(concepts + ["absent"], rng.randint(1, min(4, len(concepts))))
+            node = concept_set("x", *chosen)
+            scope = (
+                frozenset(rng.sample(corpus.doc_ids, rng.randint(0, len(corpus.doc_ids))))
+                if trial % 2
+                else None
+            )
+            index = build_statement_index(corpus)
+            result = retrieve(DisjunctiveQuery((node,), (), text="x"), index, corpus, scope)
+            expected = {}
+            for doc in corpus.documents():
+                mentioned = sorted(c for c in chosen if c in doc.concept_counts)
+                if mentioned and (scope is None or doc.doc_id in scope):
+                    expected[doc.doc_id] = [(doc.doc_id, (), (("x", c),)) for c in mentioned]
+            got = {
+                doc_id: [(f.doc_id, f.edges, f.node_bindings) for f in fragments]
+                for doc_id, fragments in result.full.items()
+            }
+            assert got == expected
+            assert list(result.full) == sorted(expected)
+            assert result.partial == {}
 
     def test_pooling_cap_marks_truncation(self, monkeypatch):
         # F fully matches with two fragments; P matches only the first pattern,

@@ -252,6 +252,11 @@ class TestCompileFreetext:
         with pytest.raises(UntranslatableTopicError, match="only 1"):
             compile_freetext_topic("school closings during coronavirus", topic_vocabulary)
 
+    def test_substring_only_word_is_skipped(self, fix1_vocabulary):
+        # "a" is inside "metformin" and "diabetes mellitus" but is no word of either.
+        query = compile_freetext_topic("a metformin for hypertension", fix1_vocabulary)
+        assert [sorted(c.concept_ids()) for c in query.components] == [["M"], ["H"]]
+
     def test_no_known_concepts(self, topic_vocabulary):
         with pytest.raises(UntranslatableTopicError, match="only 0"):
             compile_freetext_topic("zzz qqq www", topic_vocabulary)

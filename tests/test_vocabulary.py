@@ -164,6 +164,11 @@ class TestFindConcepts:
         assert hits[0].matched_synonym == "dm"
         assert hits[0].translation_score == 1.0
 
+    def test_substring_without_a_shared_token_is_no_translation(self, fix1_vocabulary):
+        # "diab" is inside "diabetes mellitus" but shares no whole token with it.
+        assert fix1_vocabulary.find_concepts("diab") == []
+        assert [t.concept_id for t in fix1_vocabulary.find_concepts("diabetes")] == ["DM"]
+
     def test_max_over_matching_synonyms(self):
         vocab = Vocabulary(
             [ConceptEntry("X", "drug", "", ("alpha beta gamma", "alpha"))]
