@@ -9,6 +9,14 @@ statement. A :class:`Corpus` owns the concept -> documents table. After
 construction it and everything hanging off it (documents, concept table,
 stats) is immutable and safe for concurrent readers; only its ranking cache
 fills lazily, with values that do not depend on who fills them.
+
+Concept ids, predicates and tokens come from a small shared vocabulary, so
+each is interned with ``sys.intern`` as it is read: every document, and the
+vocabulary and ontology loaders, hold one object per distinct value, and the
+set and dict lookups that compare them meet the same object. Doc ids are not
+interned, because each is distinct and would share nothing. On CPython 3.12
+an interned string is immortal, so the interned values stay for the life of
+the process: one string per distinct value, not one per document.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 
 from .errors import AbsentConceptError, CorpusFormatError, read_input_text
 
@@ -39,13 +48,14 @@ class Document:
     ``mentions`` holds plain ``(concept_id, start, end)`` tuples, with
     0-based character offsets and exclusive ends; ``extractions`` holds
     plain ``(subject, predicate, object, confidence, sentence)`` tuples.
-    Both follow the corpus record's field order. The token list is only
-    consumed by the BM25 baseline. The graph is ``edges``: each distinct
-    (subject, predicate, object) triple maps to the maximum confidence over
-    the extractions that state it, filled in lexicographic edge order, so
-    every reader iterates the edges in that one order. ``coverage`` maps
-    each mentioned concept to the spread of its mentions: the distance
-    between its last and first mention starts over ``text_length``.
+    Both follow the corpus record's field order. The token list, lowered
+    and interned, is only consumed by the BM25 baseline. The graph is
+    ``edges``: each distinct (subject, predicate, object) triple maps to the
+    maximum confidence over the extractions that state it, filled in
+    lexicographic edge order, so every reader iterates the edges in that one
+    order. ``coverage`` maps each mentioned concept to the spread of its
+    mentions: the distance between its last and first mention starts over
+    ``text_length``.
     """
 
     __slots__ = (
@@ -78,7 +88,7 @@ class Document:
         self.doc_id = doc_id
         self.text_length = text_length
         try:
-            self.tokens = tuple(map(str.lower, tokens))
+            self.tokens = tuple(map(intern, map(str.lower, tokens)))
         except TypeError:
             raise CorpusFormatError("tokens must all be strings") from None
         self.mentions = tuple(mentions)
@@ -235,7 +245,8 @@ def parse_document_record(record: dict, where: str = "<record>") -> Document:
     The record and each of its mentions and statements must be a ``dict``.
     An entry whose fields all have their exact types becomes a tuple
     directly; any other goes through ``_require_fields``, which coerces an
-    integer confidence to float or names the first bad field.
+    integer confidence to float or names the first bad field. On both paths
+    concept ids, subjects, predicates and objects are interned.
     """
     if type(record) is not dict:
         raise CorpusFormatError(f"{where}: record must be a JSON object")
@@ -247,22 +258,24 @@ def parse_document_record(record: dict, where: str = "<record>") -> Document:
         if type(m) is not dict:
             raise CorpusFormatError(f"{where}: mention entries must be objects")
         concept_id, start, end = m.get("concept_id"), m.get("start"), m.get("end")
-        if type(concept_id) is str and type(start) is type(end) is int:
-            mentions.append((concept_id, start, end))
-            continue
-        mentions.append(_require_fields(m, MENTION_FIELDS, (str, int, int), where))
+        if not (type(concept_id) is str and type(start) is type(end) is int):
+            concept_id, start, end = _require_fields(m, MENTION_FIELDS, (str, int, int), where)
+        mentions.append((intern(concept_id), start, end))
     statements = []
     for s in _require(record, "statements", list, where):
         if type(s) is not dict:
             raise CorpusFormatError(f"{where}: statement entries must be objects")
         subject, predicate, obj = s.get("subject"), s.get("predicate"), s.get("object")
         confidence, sentence = s.get("confidence"), s.get("sentence")
-        if type(subject) is type(predicate) is type(obj) is str and (
-            type(confidence) is float and type(sentence) is int
+        if not (
+            type(subject) is type(predicate) is type(obj) is str
+            and type(confidence) is float
+            and type(sentence) is int
         ):
-            statements.append((subject, predicate, obj, confidence, sentence))
-            continue
-        statements.append(_require_fields(s, STATEMENT_FIELDS, (str, str, str, float, int), where))
+            subject, predicate, obj, confidence, sentence = _require_fields(
+                s, STATEMENT_FIELDS, (str, str, str, float, int), where
+            )
+        statements.append((intern(subject), intern(predicate), intern(obj), confidence, sentence))
     try:
         return Document(doc_id, text_length, tokens, mentions, statements)
     except CorpusFormatError as exc:

@@ -133,7 +133,9 @@ class Run:
 
     @classmethod
     def read(cls, path: str | Path) -> "Run":
-        """Read a run file; every line must carry the first line's tag."""
+        """Read a run file; every line must carry the first line's tag, and
+        each topic's ranks must read 1, 2, ... in file order, as ``write``
+        numbers them."""
         text = read_input_text(path, "run")
         grouped: dict[str, list[tuple[str, float]]] = {}
         tag, tag_line = "run", 0
@@ -145,7 +147,7 @@ class Run:
                 raise InputError(
                     f"{path}:{lineno}: expected 'topic Q0 doc rank score tag', got {line!r}"
                 )
-            topic_id, _, doc_id, _, score_text, line_tag = parts
+            topic_id, _, doc_id, rank_text, score_text, line_tag = parts
             if not tag_line:
                 tag, tag_line = line_tag, lineno
             elif line_tag != tag:
@@ -156,7 +158,14 @@ class Run:
                 score = float(score_text)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: score {score_text!r} is not a number") from None
-            grouped.setdefault(topic_id, []).append((doc_id, score))
+            entries = grouped.setdefault(topic_id, [])
+            rank = len(entries) + 1
+            if rank_text != str(rank):
+                raise InputError(
+                    f"{path}:{lineno}: rank {rank_text!r} is not {rank}, "
+                    f"the next rank of topic {topic_id!r}"
+                )
+            entries.append((doc_id, score))
         run = cls(tag)
         for topic_id, entries in grouped.items():
             run.add_topic(topic_id, entries)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from pathlib import Path
+from sys import intern
 from typing import Iterable
 
 from .errors import OntologyFormatError, read_input_text
@@ -93,7 +94,8 @@ class Ontology:
 
 
 def load_ontology(source: str | Path) -> Ontology:
-    """Load a tab-separated ``child <TAB> parent`` edge file."""
+    """Load a tab-separated ``child <TAB> parent`` edge file; concept ids
+    are interned, so they are the same objects as a loaded corpus's."""
     path = Path(source)
     text = read_input_text(path, "ontology", OntologyFormatError)
     edges = []
@@ -105,7 +107,7 @@ def load_ontology(source: str | Path) -> Ontology:
             raise OntologyFormatError(
                 f"{path}:{lineno}: expected 'child<TAB>parent', got {line!r}"
             )
-        edges.append((parts[0], parts[1]))
+        edges.append((intern(parts[0]), intern(parts[1])))
     return Ontology(edges)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 from typing import Iterable
 
 from .errors import VocabularyFormatError, read_input_text
@@ -201,7 +202,8 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
     """Load a tab-separated vocabulary file.
 
     Line format: ``concept_id <TAB> concept_type <TAB> synonym1|synonym2|...``
-    The first synonym is the preferred label.
+    The first synonym is the preferred label. Concept ids are interned, so
+    they are the same objects as a loaded corpus's.
     """
     path = Path(source)
     text = read_input_text(path, "vocabulary", VocabularyFormatError)
@@ -219,7 +221,7 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
             raise VocabularyFormatError(f"{path}:{lineno}: empty concept_id")
         entries.append(
             ConceptEntry(
-                concept_id=concept_id,
+                concept_id=intern(concept_id),
                 concept_type=concept_type,
                 preferred_label="",
                 synonyms=tuple(synonyms.split("|")),

@@ -21,8 +21,11 @@ from docgraph.corpus import (
     parse_document_record,
 )
 from docgraph.errors import AbsentConceptError, CorpusFormatError
+from docgraph.ontology import load_ontology
+from docgraph.storage import load_index, save_index
+from docgraph.vocabulary import load_vocabulary
 
-from randgen import corpus_from_raw, random_raw_corpus
+from randgen import corpus_from_raw, random_raw_corpus, write_benchmark
 
 
 def make_doc(doc_id="D", length=100, mentions=(), statements=()):
@@ -376,3 +379,85 @@ class TestProperties:
         assert a.stats == b.stats
         for doc_id in a.doc_ids:
             assert a.document(doc_id).edges == b.document(doc_id).edges
+
+
+def _shared(documents, values):
+    """Two documents' own objects for the first value that both hold."""
+    first = {}
+    for doc in documents:
+        for value in values(doc):
+            seen = first.setdefault(value, (doc, value))
+            if seen[0] is not doc:
+                return seen[1], value
+    raise AssertionError("no value is held by two documents")
+
+
+def _own(value, values):
+    """The object in ``values`` that equals ``value``."""
+    return next(v for v in values if v == value)
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """A randgen bundle whose first record has an integer confidence, and its index."""
+    directory = tmp_path_factory.mktemp("bundle")
+    paths = write_benchmark(directory, random.Random(24), n_docs=30, n_concepts=8, n_topics=1)
+    first, *rest = paths["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(first)
+    record["statements"][0]["confidence"] = 1
+    paths["corpus"].write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+    save_index(directory / "index", ingest_documents(paths["corpus"]))
+    return paths, record, directory / "index"
+
+
+class TestSharedStrings:
+    """Concept ids, predicates and tokens are one object per value wherever
+    they are loaded; doc ids are not shared."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            lambda doc: doc.concept_counts,
+            lambda doc: [s for s, _, _ in doc.edges],
+            lambda doc: [p for _, p, _ in doc.edges],
+            lambda doc: doc.tokens,
+        ],
+        ids=["mention-concept-id", "statement-concept-id", "predicate", "token"],
+    )
+    def test_loaded_documents_share_values(self, bundle, values):
+        documents = list(load_index(bundle[2]).corpus.documents())
+        a, b = _shared(documents, values)
+        assert len(a) > 1 and a == b and a is b
+
+    def test_require_fields_record_shares_values(self, bundle):
+        paths, record, _ = bundle
+        corpus = ingest_documents(paths["corpus"])
+        slow = corpus.document(record["doc_id"])
+        subject, predicate, obj, confidence, _ = slow.extractions[0]
+        assert type(confidence) is float and confidence == 1.0
+        others = [v for doc in corpus.documents() if doc is not slow for e in doc.edges for v in e]
+        for value in (subject, predicate, obj):
+            assert _own(value, others) is value
+
+    def test_vocabulary_and_ontology_share_concept_ids(self, bundle):
+        paths, _, index = bundle
+        corpus = load_index(index).corpus
+        vocabulary = load_vocabulary(paths["vocabulary"])
+        ontology = load_ontology(paths["ontology"])
+
+        def own(concept):
+            return _own(concept, corpus.document(min(corpus.concept_docs[concept])).concept_counts)
+
+        for concept in corpus.concept_docs:
+            assert vocabulary.entry(concept).concept_id is own(concept)
+        parents = [p for c in corpus.concept_docs for p in ontology.ancestor_distances(c)]
+        assert parents
+        for parent in parents:
+            assert parent is own(parent)
+
+    def test_doc_ids_stay_per_load(self, bundle):
+        first = load_index(bundle[2]).corpus
+        second = load_index(bundle[2]).corpus
+        for a, b in zip(first.documents(), second.documents()):
+            assert a.doc_id == b.doc_id and a.doc_id is not b.doc_id
+            assert _own(a.tokens[0], b.tokens) is a.tokens[0]

@@ -162,8 +162,15 @@ class TestRun:
             ("T1 Q0 A 1 0.5 tag\nT1 Q0 B 2 0.25\n", r"run\.txt:2: expected 'topic Q0 doc rank score tag'"),
             ("T1 Q0 A 1 high tag\n", r"run\.txt:1: score 'high' is not a number"),
             (None, r"cannot read run file .*missing\.txt"),
+            ("T1 Q0 A 1 0.5 tag\nT1 Q0 B 1 0.25 tag\n",
+             r"run\.txt:2: rank '1' is not 2, the next rank of topic 'T1'"),
+            ("T1 Q0 A 1 0.5 tag\nT1 Q0 B 2 0.25 tag\nT1 Q0 C x 0.1 tag\n",
+             r"run\.txt:3: rank 'x' is not 3, the next rank of topic 'T1'"),
+            ("T1 Q0 A 0 0.5 tag\n", r"run\.txt:1: rank '0' is not 1"),
+            ("T1 Q0 A 1.0 0.5 tag\n", r"run\.txt:1: rank '1\.0' is not 1"),
         ],
-        ids=["short-line", "non-numeric-score", "missing-file"],
+        ids=["short-line", "non-numeric-score", "missing-file", "repeated-rank",
+             "non-integer-rank", "rank-from-zero", "float-rank"],
     )
     def test_read_rejects_bad_input(self, tmp_path, content, expected):
         path = tmp_path / ("missing.txt" if content is None else "run.txt")
@@ -171,6 +178,25 @@ class TestRun:
             path.write_text(content)
         with pytest.raises(InputError, match=expected):
             Run.read(path)
+
+    def test_read_rejects_ranks_that_do_not_count_from_one(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("T1 Q0 D-A 7 1.0 t\nT1 Q0 D-B 7 0.5 t\nT1 Q0 D-C x 0.25 t\n")
+        with pytest.raises(InputError) as info:
+            Run.read(path)
+        assert str(info.value) == f"{path}:1: rank '7' is not 1, the next rank of topic 'T1'"
+
+    def test_read_counts_ranks_per_topic(self, tmp_path):
+        run = Run("tag")
+        run.add_topic("T1", [(f"D{i}", 1.0 / i) for i in range(1, 12)])
+        run.add_topic("T2", [("D1", 0.5)])
+        path = tmp_path / "run.txt"
+        run.write(path)
+        loaded = Run.read(path)
+        assert [loaded.doc_ids(t) for t in ("T1", "T2")] == [run.doc_ids("T1"), ["D1"]]
+        # Lines of one topic need not be adjacent; ranks count per topic.
+        path.write_text("T1 Q0 A 1 0.5 tag\nT2 Q0 A 1 0.5 tag\nT1 Q0 B 2 0.25 tag\n")
+        assert Run.read(path).doc_ids("T1") == ["A", "B"]
 
     def test_read_rejects_mixed_tags(self, tmp_path):
         path = tmp_path / "run.txt"
